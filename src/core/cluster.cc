@@ -91,10 +91,7 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     // wins (clusters run sequentially in tests and benches).
     BufferPool::instance().setEnabled(cfg.pooledBuffers);
 
-    LossPlan loss;
-    if (cfg.lossEveryNth > 0)
-        loss = dropEveryNth(cfg.lossEveryNth);
-    net = std::make_unique<Network>(cfg.nprocs, cfg.cost, std::move(loss));
+    net = std::make_unique<Network>(cfg.nprocs, cfg.cost, cfg.lossEveryNth);
     if (cfg.blockingDequeue > 0)
         net->setAdaptiveInboxSpin(true);
 
@@ -369,13 +366,10 @@ Cluster::runChildNode(int rank, const std::string &dir,
     NodeResult res;
     res.rank = rank;
 
-    LossPlan loss;
-    if (cfg.lossEveryNth > 0)
-        loss = dropEveryNth(cfg.lossEveryNth);
     SocketTransport st(rank, cfg.nprocs, cfg.cost,
                        cfg.transport == "tcp" ? SocketKind::Tcp
                                               : SocketKind::Unix,
-                       dir, std::move(loss));
+                       dir, cfg.lossEveryNth);
     if (cfg.blockingDequeue > 0)
         st.setAdaptiveInboxSpin(true);
     if (faults)

@@ -123,11 +123,14 @@ struct ClusterConfig
     std::uint32_t diffGapWords = 0;
 
     /**
-     * Batch LRC access-miss traffic: one diff request/reply pair per
-     * writer carries all of a page's missing intervals and piggybacks
-     * other invalid pages whose pending writers are already being
-     * contacted. Disabling it falls back to the seed one-request-per-
-     * (page, writer) protocol.
+     * Cross-page piggybacking on homeless LRC misses. Every miss
+     * sends one batched request per pending writer (diffs or
+     * timestamp runs, per the collection method); with this on, the
+     * batch also carries every other invalid page whose pending
+     * writers are already being contacted. Off, the batch holds only
+     * the missed page — one round trip per (page, writer), the seed's
+     * message count, at 12 extra wire bytes per round trip (the
+     * batch's page count and page id).
      */
     bool batchDiffFetch = true;
 

@@ -121,6 +121,42 @@ LrcRuntime::resolveCoveredNotices(PageId page, PageMeta &m)
         invalidPages.erase(page);
 }
 
+bool
+LrcRuntime::revalidateAfterFetch(PageId page, PageMeta &m)
+{
+    resolveCoveredNotices(page, m);
+    if (!m.notices.empty()) {
+        // With one app thread per node nothing can add a notice while
+        // the fetch is in flight, so every notice it snapshotted must
+        // be covered now; a leftover means the fetch lost data.
+        if (threadsT == 1) {
+            for (const auto &[proc, idx] : m.notices) {
+                std::fprintf(stderr,
+                             "[node %d] page %u leftover notice (%d,%u) "
+                             "copyVt=%s vt=%s\n",
+                             id, page, proc, idx,
+                             m.copyVt.toString().c_str(),
+                             vt.toString().c_str());
+            }
+            DSM_ASSERT(false,
+                       "page %u still has pending notices after fetch",
+                       page);
+        }
+        return false;
+    }
+    // Only None -> valid: a sibling may have validated (and even
+    // re-twinned) the page while our replies were in flight. A page
+    // with an open twin (a sibling is mid-interval on it) must come
+    // back writable — its twin keeps capturing the local writes; Read
+    // would make the next store re-fault and double-twin.
+    std::lock_guard<std::mutex> sg(nl->shardFor(page));
+    if (pages.access(page) == PageAccess::None) {
+        pages.setAccess(page, twins.hasPage(page) ? PageAccess::ReadWrite
+                                                  : PageAccess::Read);
+    }
+    return true;
+}
+
 BlockTimestamps &
 LrcRuntime::tsOf(PageId page)
 {
@@ -589,11 +625,17 @@ LrcRuntime::applyLockGrant(LockId, AccessMode, WireReader &r)
     VectorTime granter_vt = VectorTime::decode(r);
     const std::uint32_t nrecs = r.getU32();
     for (std::uint32_t i = 0; i < nrecs; ++i) {
+        IntervalRec incoming = decodeRecord(r);
+        DSM_ASSERT(incoming.idx <= granter_vt[incoming.proc],
+                   "lock grant carries record (%d,%u) beyond its vector "
+                   "%s",
+                   incoming.proc, incoming.idx,
+                   granter_vt.toString().c_str());
         bool fresh = false;
         const IntervalRec *rec;
         {
             std::lock_guard<std::mutex> ig(nl->ilog);
-            rec = &ilog.add(decodeRecord(r), &fresh);
+            rec = &ilog.add(std::move(incoming), &fresh);
         }
         invalidateFor(*rec, fresh);
     }
@@ -702,8 +744,14 @@ LrcRuntime::makeDepart(BarrierId barrier, NodeId node)
             w.putU64(mask);
         }
     }
+    // Cap at the departure's vector, as lock grants cap at vt: the
+    // manager's own departure can reach its app thread (reply bypass)
+    // while this thread still builds the others, and that app thread
+    // may close its next interval meanwhile. A record beyond global
+    // would give the receiver a notice it can neither order nor fetch
+    // against, and the next barrier would send it again.
     std::lock_guard<std::mutex> ig(nl->ilog);
-    auto recs = ilog.recordsAfter(scratch.arrivalVt[node]);
+    auto recs = ilog.recordsAfter(scratch.arrivalVt[node], &global);
     w.putU32(static_cast<std::uint32_t>(recs.size()));
     for (const IntervalRec *rec : recs) {
         encodeRecord(w, *rec);
@@ -730,11 +778,17 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     }
     const std::uint32_t nrecs = r.getU32();
     for (std::uint32_t i = 0; i < nrecs; ++i) {
+        IntervalRec incoming = decodeRecord(r);
+        DSM_ASSERT(incoming.idx <= global[incoming.proc],
+                   "barrier departure carries record (%d,%u) beyond "
+                   "its vector %s",
+                   incoming.proc, incoming.idx,
+                   global.toString().c_str());
         bool fresh = false;
         const IntervalRec *rec;
         {
             std::lock_guard<std::mutex> ig(nl->ilog);
-            rec = &ilog.add(decodeRecord(r), &fresh);
+            rec = &ilog.add(std::move(incoming), &fresh);
         }
         invalidateFor(*rec, fresh);
     }
@@ -1052,6 +1106,8 @@ LrcRuntime::snapshotBatchTargets(PageId page,
         }
     }
     reqs.push_back({page, m.copyVt});
+    if (!cluster->batchDiffFetch)
+        return;
     // Piggyback candidates come from the maintained invalid-page set
     // (exactly the pages with pending notices), not a walk over every
     // page ever touched: O(pending) under the node mutex.
@@ -1074,11 +1130,6 @@ LrcRuntime::snapshotBatchTargets(PageId page,
 void
 LrcRuntime::fetchDiffs(PageId page)
 {
-    if (!cluster->batchDiffFetch) {
-        fetchDiffsLegacy(page);
-        return;
-    }
-
     std::vector<NodeId> responders;
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
@@ -1144,28 +1195,7 @@ LrcRuntime::fetchDiffs(PageId page)
         f.applied = true;
     }
     for (const BatchPageReq &pr : reqs) {
-        PageMeta &m = meta(pr.page);
-        resolveCoveredNotices(pr.page, m);
-        if (threadsT == 1) {
-            DSM_ASSERT(m.notices.empty(),
-                       "page %u still has pending notices after "
-                       "batched fetch",
-                       pr.page);
-        }
-        if (m.notices.empty()) {
-            // Only None -> valid: a sibling may have validated (and
-            // even re-twinned) the page while our replies were in
-            // flight. A page with an open twin (a sibling is
-            // mid-interval on it) must come back writable — its twin
-            // keeps capturing the local writes; Read would make the
-            // next store re-fault and double-twin.
-            std::lock_guard<std::mutex> sg(nl->shardFor(pr.page));
-            if (pages.access(pr.page) == PageAccess::None) {
-                pages.setAccess(pr.page, twins.hasPage(pr.page)
-                                             ? PageAccess::ReadWrite
-                                             : PageAccess::Read);
-            }
-        }
+        revalidateAfterFetch(pr.page, meta(pr.page));
         if (pr.page != page)
             stats().diffPagesPiggybacked++;
     }
@@ -1180,99 +1210,6 @@ LrcRuntime::fetchDiffs(PageId page)
         }
     }
     applyPiggybackedRecords(precs, reqs);
-}
-
-void
-LrcRuntime::fetchDiffsLegacy(PageId page)
-{
-    std::vector<NodeId> responders;
-    VectorTime copy_vt;
-    VectorTime log_cov;
-    {
-        std::lock_guard<std::mutex> g(nl->core);
-        PageMeta &m = meta(page);
-        copy_vt = m.copyVt;
-        log_cov = logCoverage();
-        for (const auto &[proc, idx] : m.notices) {
-            if (idx > copy_vt[proc] &&
-                std::find(responders.begin(), responders.end(), proc) ==
-                    responders.end() &&
-                proc != id) {
-                responders.push_back(proc);
-            }
-        }
-    }
-
-    std::vector<FetchedDiff> fetched;
-    std::vector<IntervalRec> precs;
-    for (NodeId q : responders) {
-        WireWriter w;
-        w.putU32(page);
-        copy_vt.encode(w);
-        log_cov.encode(w);
-        stats().diffRequestsSent++;
-        Message reply = ep->call(q, MsgType::DiffRequest, w.take());
-        WireReader r(reply.payload);
-        const std::uint32_t n = r.getU32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            FetchedDiff f;
-            f.page = page;
-            f.proc = static_cast<NodeId>(r.getU16());
-            f.idx = r.getU32();
-            f.vtSum = r.getU64();
-            f.diff = Diff::decode(r);
-            fetched.push_back(std::move(f));
-        }
-        decodePiggybackedRecords(r, precs);
-        BufferPool::instance().release(std::move(reply.payload));
-    }
-
-    // Apply in a linear extension of happens-before (sum order), with
-    // word-granularity merging for concurrent multi-writer diffs.
-    sortForApply(fetched);
-
-    std::lock_guard<std::mutex> g(nl->core);
-    PageMeta &m = meta(page);
-    for (FetchedDiff &f : fetched) {
-        if (f.idx <= m.copyVt[f.proc])
-            continue; // duplicate from another responder
-        {
-            std::lock_guard<std::mutex> sg(nl->shardFor(page));
-            std::byte *base = arena->at(arena->pageBase(page));
-            f.diff.apply(base, &stats());
-            if (twins.hasPage(page))
-                f.diff.apply(twins.pageTwinMut(page).data());
-        }
-        clock().add(costModel().perWordApplyNs *
-                    ((f.diff.dataBytes() + 3) / 4));
-        m.copyVt[f.proc] = std::max(m.copyVt[f.proc], f.idx);
-        f.applied = true;
-    }
-    resolveCoveredNotices(page, m);
-    if (threadsT == 1) {
-        DSM_ASSERT(m.notices.empty(),
-                   "page %u still has pending notices after fetch",
-                   page);
-    }
-    if (m.notices.empty()) {
-        std::lock_guard<std::mutex> sg(nl->shardFor(page));
-        if (pages.access(page) == PageAccess::None) {
-            pages.setAccess(page, twins.hasPage(page)
-                                      ? PageAccess::ReadWrite
-                                      : PageAccess::Read);
-        }
-    }
-    {
-        // Save for possible future transmission (Section 5.2).
-        std::lock_guard<std::mutex> dg(nl->diff);
-        for (FetchedDiff &f : fetched) {
-            if (f.applied) {
-                diffStore[{page, packTs(f.proc, f.idx)}] = {
-                    std::move(f.diff), f.vtSum};
-            }
-        }
-    }
-    applyPiggybackedRecords(precs, {{page, VectorTime()}});
 }
 
 void
@@ -1403,16 +1340,7 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
                                 (arena->pageSize() / 4));
                     PageMeta &m = meta(page);
                     m.copyVt.mergeMax(cut);
-                    resolveCoveredNotices(page, m);
-                    if (m.notices.empty()) {
-                        std::lock_guard<std::mutex> sg(
-                            nl->shardFor(page));
-                        if (pages.access(page) == PageAccess::None) {
-                            pages.setAccess(
-                                page, twins.hasPage(page)
-                                          ? PageAccess::ReadWrite
-                                          : PageAccess::Read);
-                        }
+                    if (revalidateAfterFetch(page, m)) {
                         stats().rehostedFetches++;
                         return;
                     }
@@ -1481,21 +1409,7 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
                     (arena->pageSize() / 4));
         PageMeta &m = meta(page);
         m.copyVt.mergeMax(got);
-        resolveCoveredNotices(page, m);
-        if (threadsT == 1) {
-            DSM_ASSERT(m.notices.empty(),
-                       "page %u still has pending notices after home "
-                       "fetch",
-                       page);
-        }
-        if (m.notices.empty()) {
-            std::lock_guard<std::mutex> sg(nl->shardFor(page));
-            if (pages.access(page) == PageAccess::None) {
-                pages.setAccess(page, twins.hasPage(page)
-                                          ? PageAccess::ReadWrite
-                                          : PageAccess::Read);
-            }
-        }
+        revalidateAfterFetch(page, m);
         BufferPool::instance().release(std::move(reply.payload));
         applyPiggybackedRecords(precs, {{page, VectorTime()}});
         return;
@@ -1505,15 +1419,10 @@ LrcRuntime::fetchFromHome(PageId page, bool read_only)
 void
 LrcRuntime::fetchTimestamps(PageId page)
 {
-    if (!cluster->batchDiffFetch) {
-        fetchTimestampsLegacy(page);
-        return;
-    }
-
-    // One batched request per writer instead of one per (page,
-    // writer): snapshot the target page's pending writers, piggyback
-    // every other invalid page whose pending writers are a subset, and
-    // reuse the DiffBatchRequest framing for timestamp runs.
+    // One batched request per writer: snapshot the target page's
+    // pending writers, piggyback (with batchDiffFetch) every other
+    // invalid page whose pending writers are a subset, and reuse the
+    // DiffBatchRequest framing for timestamp runs.
     std::vector<NodeId> responders;
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
@@ -1569,64 +1478,6 @@ LrcRuntime::fetchTimestamps(PageId page)
             stats().tsPagesPiggybacked++;
     }
     countAvoidedReinvalidations(fresh_recs, reqs);
-}
-
-void
-LrcRuntime::fetchTimestampsLegacy(PageId page)
-{
-    std::vector<NodeId> responders;
-    VectorTime copy_vt;
-    VectorTime global_vt;
-    VectorTime log_cov;
-    {
-        std::lock_guard<std::mutex> g(nl->core);
-        PageMeta &m = meta(page);
-        copy_vt = m.copyVt;
-        global_vt = vt;
-        log_cov = logCoverage();
-        for (const auto &[proc, idx] : m.notices) {
-            if (idx > copy_vt[proc] &&
-                std::find(responders.begin(), responders.end(), proc) ==
-                    responders.end() &&
-                proc != id) {
-                responders.push_back(proc);
-            }
-        }
-    }
-
-    std::vector<TsReplySet> replies;
-    std::vector<IntervalRec> precs;
-    for (NodeId q : responders) {
-        WireWriter w;
-        w.putU32(page);
-        copy_vt.encode(w);
-        global_vt.encode(w);
-        log_cov.encode(w);
-        stats().tsRequestsSent++;
-        Message msg = ep->call(q, MsgType::PageTsRequest, w.take());
-        WireReader r(msg.payload);
-        TsReplySet reply;
-        reply.pageVt = VectorTime::decode(r);
-        const std::uint32_t nruns = r.getU32();
-        for (std::uint32_t i = 0; i < nruns; ++i) {
-            TsRun run;
-            run.firstBlock = r.getU32();
-            run.numBlocks = r.getU32();
-            run.ts = r.getU64();
-            std::vector<std::byte> bytes(std::size_t{run.numBlocks} * 4);
-            r.getBytes(bytes.data(), bytes.size());
-            reply.runs.push_back(run);
-            reply.data.push_back(std::move(bytes));
-        }
-        decodePiggybackedRecords(r, precs);
-        replies.push_back(std::move(reply));
-        BufferPool::instance().release(std::move(msg.payload));
-    }
-
-    std::lock_guard<std::mutex> g(nl->core);
-    auto fresh_recs = ingestPiggybackedRecords(precs);
-    applyTsReplies(page, replies);
-    countAvoidedReinvalidations(fresh_recs, {{page, VectorTime()}});
 }
 
 void
@@ -1705,42 +1556,15 @@ LrcRuntime::applyTsReplies(PageId page,
         m.copyVt.mergeMax(reply.pageVt);
     }
     clock().add(costModel().perWordApplyNs * words_applied);
-
-    resolveCoveredNotices(page, m);
-    if (threadsT == 1 && !m.notices.empty()) {
-        for (auto &[np_, ni] : m.notices) {
-            std::fprintf(stderr,
-                         "[node %d] page %u leftover notice (%d,%u) "
-                         "copyVt=%s vt=%s\n",
-                         id, page, np_, ni, m.copyVt.toString().c_str(),
-                         vt.toString().c_str());
-        }
-        DSM_ASSERT(false,
-                   "page %u still has pending notices after ts fetch",
-                   page);
-    }
-    if (m.notices.empty()) {
-        std::lock_guard<std::mutex> sg(nl->shardFor(page));
-        if (pages.access(page) == PageAccess::None) {
-            pages.setAccess(page, twins.hasPage(page)
-                                      ? PageAccess::ReadWrite
-                                      : PageAccess::Read);
-        }
-    }
+    revalidateAfterFetch(page, m);
 }
 
 void
 LrcRuntime::handleMessage(Message &msg)
 {
     switch (msg.type) {
-      case MsgType::DiffRequest:
-        handleDiffRequest(msg);
-        break;
       case MsgType::DiffBatchRequest:
         handleDiffBatchRequest(msg);
-        break;
-      case MsgType::PageTsRequest:
-        handlePageTsRequest(msg);
         break;
       case MsgType::PageTsBatchRequest:
         handlePageTsBatchRequest(msg);
@@ -1779,23 +1603,6 @@ LrcRuntime::encodeDiffsNewerThan(WireWriter &w, PageId page,
         entry->diff.encode(w);
         stats().diffBytesSent += entry->diff.wireBytes();
     }
-}
-
-void
-LrcRuntime::handleDiffRequest(Message &msg)
-{
-    WireReader r(msg.payload);
-    const PageId page = r.getU32();
-    VectorTime req_vt = VectorTime::decode(r);
-    VectorTime req_log = VectorTime::decode(r);
-
-    WireWriter w;
-    {
-        std::lock_guard<std::mutex> dg(nl->diff);
-        encodeDiffsNewerThan(w, page, req_vt);
-    }
-    encodePiggybackedRecords(w, req_log);
-    ep->reply(msg.src, MsgType::DiffReply, w.take(), msg.replyToken);
 }
 
 void
@@ -1866,22 +1673,6 @@ LrcRuntime::encodeTsNewerThan(WireWriter &w, PageId page,
                                std::size_t{run.numBlocks} * 4;
     }
     stats().tsRunsSent += runs.size();
-}
-
-void
-LrcRuntime::handlePageTsRequest(Message &msg)
-{
-    WireReader r(msg.payload);
-    const PageId page = r.getU32();
-    VectorTime req_vt = VectorTime::decode(r);
-    VectorTime req_global = VectorTime::decode(r);
-    VectorTime req_log = VectorTime::decode(r);
-
-    std::lock_guard<std::mutex> g(nl->core);
-    WireWriter w;
-    encodeTsNewerThan(w, page, req_vt, req_global);
-    encodePiggybackedRecords(w, req_log);
-    ep->reply(msg.src, MsgType::PageTsReply, w.take(), msg.replyToken);
 }
 
 void

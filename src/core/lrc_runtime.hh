@@ -134,6 +134,16 @@ class LrcRuntime : public Runtime
     void resolveCoveredNotices(PageId page, PageMeta &m);
 
     /**
+     * The tail every miss path shares once a fetch brought @p page's
+     * copy forward: resolve the covered notices, then turn an
+     * inaccessible page readable again — writable when it has an open
+     * twin. Returns false (the page stays invalid) when notices
+     * remain, which only a sibling thread's concurrent grant can
+     * cause. Caller holds the node mutex.
+     */
+    bool revalidateAfterFetch(PageId page, PageMeta &m);
+
+    /**
      * Close the current interval: detect the modified pages (drop
      * twins into diffs, or fold dirty bits into word timestamps),
      * append the interval record, and advance vt[self]. No-op when
@@ -207,10 +217,12 @@ class LrcRuntime : public Runtime
      */
     void fetchPageData(PageId page, bool read_only = false);
 
+    /** The homeless miss protocol, one per collection method: one
+     *  batched request per pending writer, covering the missed page
+     *  plus (with batchDiffFetch) every other invalid page whose
+     *  pending writers are a subset. */
     void fetchDiffs(PageId page);
-    void fetchDiffsLegacy(PageId page);
     void fetchTimestamps(PageId page);
-    void fetchTimestampsLegacy(PageId page);
 
     /** Home mode: make @p page current with one request/reply against
      *  its home (or, at the home itself, by waiting for the in-flight
@@ -247,9 +259,7 @@ class LrcRuntime : public Runtime
     void applyDepart(BarrierId barrier, WireReader &r);
 
     // Access-miss servicing (service thread).
-    void handleDiffRequest(Message &msg);
     void handleDiffBatchRequest(Message &msg);
-    void handlePageTsRequest(Message &msg);
     void handlePageTsBatchRequest(Message &msg);
 
     // Home-based protocol (service thread; all take the node mutex).
@@ -354,9 +364,10 @@ class LrcRuntime : public Runtime
 
     /**
      * Snapshot @p page's pending writers into @p responders, and into
-     * @p reqs the page itself plus every other invalid page whose
-     * pending writers are a subset (the piggyback set — those pages
-     * become fully consistent from the same round trips). Also
+     * @p reqs the page itself plus, with batchDiffFetch, every other
+     * invalid page whose pending writers are a subset (the piggyback
+     * set — those pages become fully consistent from the same round
+     * trips). Also
      * snapshots the interval-log coverage into @p log_cov and, when
      * non-null, the global vector into @p global_vt, all under one
      * acquisition of the node mutex; the snapshot stays valid across

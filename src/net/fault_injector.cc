@@ -34,10 +34,6 @@ FaultInjector::droppable(MsgType type)
     // a drop of either direction.
     case MsgType::BarrierArrive:
     case MsgType::BarrierDepart:
-    case MsgType::DiffRequest:
-    case MsgType::DiffReply:
-    case MsgType::PageTsRequest:
-    case MsgType::PageTsReply:
     case MsgType::DiffBatchRequest:
     case MsgType::DiffBatchReply:
     case MsgType::PageTsBatchRequest:

@@ -12,10 +12,6 @@ toString(MsgType type)
       case MsgType::LockGrant: return "LockGrant";
       case MsgType::BarrierArrive: return "BarrierArrive";
       case MsgType::BarrierDepart: return "BarrierDepart";
-      case MsgType::DiffRequest: return "DiffRequest";
-      case MsgType::DiffReply: return "DiffReply";
-      case MsgType::PageTsRequest: return "PageTsRequest";
-      case MsgType::PageTsReply: return "PageTsReply";
       case MsgType::DiffBatchRequest: return "DiffBatchRequest";
       case MsgType::DiffBatchReply: return "DiffBatchReply";
       case MsgType::PageTsBatchRequest: return "PageTsBatchRequest";

@@ -29,10 +29,6 @@ enum class MsgType : std::uint8_t
     BarrierDepart, ///< manager -> node (reply; LRC: interval records)
 
     // LRC access-miss servicing.
-    DiffRequest,   ///< faulting node -> writer
-    DiffReply,
-    PageTsRequest, ///< faulting node -> writer (timestamp collection)
-    PageTsReply,
     DiffBatchRequest, ///< faulting node -> writer: several pages' worth
                       ///< of missing intervals in one round trip
     DiffBatchReply,
@@ -82,8 +78,8 @@ struct Message
     /** Computed arrival virtual time (set by the network). */
     std::uint64_t vtArriveNs = 0;
     /**
-     * Delivery-order stamp assigned by the network inbox (ring ticket
-     * or per-pair counter; 0 = unstamped). Simulation metadata, not
+     * Delivery-order stamp assigned by the inbox ring (its ticket;
+     * 0 = unstamped). Simulation metadata, not
      * on the modeled wire; recv() asserts it increases per (src, dst)
      * pair — the in-order-per-pair delivery guarantee.
      */

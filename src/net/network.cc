@@ -1,29 +1,19 @@
 #include "net/network.hh"
 
-#include <chrono>
-
 #include "util/logging.hh"
 
 namespace dsm {
 
 Network::Network(int nnodes, const CostModel &cost_model,
-                 LossPlan loss_plan, InboxPolicy inbox_policy,
-                 std::size_t ring_capacity)
-    : cm(cost_model), loss(std::move(loss_plan)), policy(inbox_policy)
+                 std::uint64_t loss_every_nth, std::size_t ring_capacity)
+    : cm(cost_model), lossEveryNth(loss_every_nth)
 {
     DSM_ASSERT(nnodes > 0, "network needs at least one node");
     inboxes.reserve(nnodes);
     for (int i = 0; i < nnodes; ++i) {
-        inboxes.push_back(std::make_unique<Inbox>());
-        if (policy == InboxPolicy::LockFreeRing)
-            inboxes.back()->ring =
-                std::make_unique<MpscRing>(ring_capacity);
-        else
-            inboxes.back()->locked = std::make_unique<LockedInbox>();
-        inboxes.back()->lastDelivered.assign(nnodes, 0);
+        inboxes.push_back(std::make_unique<Inbox>(nnodes, ring_capacity));
         replySlots.push_back(std::make_unique<ReceiverSlot>());
     }
-    pairSeqs.assign(static_cast<std::size_t>(nnodes) * nnodes, 0);
     pairOutstanding = std::vector<std::atomic<std::uint32_t>>(
         static_cast<std::size_t>(nnodes) * nnodes);
 }
@@ -37,27 +27,8 @@ Network::send(Message &&msg, NodeStats &sender_stats)
                msg.src);
     DSM_ASSERT(msg.type != MsgType::Invalid, "untyped message");
 
-    const std::uint64_t seq = nextSeq.fetch_add(1);
-    const std::size_t bytes = msg.wireSize();
-
-    // Simulate loss + stop-and-wait recovery: each lost attempt costs
-    // the retransmission timeout before the next attempt departs.
-    std::uint64_t depart = msg.vtSendNs;
-    if (loss) {
-        int attempt = 0;
-        while (loss(msg.src, msg.dst, seq, attempt)) {
-            depart += cm.retransTimeoutNs;
-            sender_stats.retransmissions++;
-            sender_stats.messagesSent++;
-            sender_stats.bytesSent += bytes;
-            ++attempt;
-            DSM_ASSERT(attempt < 64, "loss plan drops forever");
-        }
-    }
-    msg.vtArriveNs = depart + cm.transitNs(bytes);
-
-    sender_stats.messagesSent++;
-    sender_stats.bytesSent += bytes;
+    chargeModeledWire(msg, nextSeq.fetch_add(1), lossEveryNth, cm,
+                      sender_stats);
     accepted.fetch_add(1);
 
     // Fault-injection layer: the message went on the (modeled) wire —
@@ -105,27 +76,12 @@ Network::send(Message &&msg, NodeStats &sender_stats)
             1, std::memory_order_relaxed);
     }
 
-    Inbox &box = *inboxes[msg.dst];
-    if (policy == InboxPolicy::LockFreeRing) {
-        // The ring ticket doubles as the pair sequence stamp (push
-        // assigns it): tickets are claimed in delivery order, so the
-        // per-pair subsequence is strictly increasing — exactly the
-        // documented guarantee. A zero ticket (shutdown) drops the
-        // message, matching the teardown semantics of recv().
-        box.ring->push(std::move(msg));
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> g(box.locked->mu);
-        // Dense per-pair stamp, assigned under the inbox mutex so the
-        // stamp order is the enqueue order.
-        msg.pairSeq = ++pairSeqs[static_cast<std::size_t>(msg.src) *
-                                     nnodes() +
-                                 msg.dst];
-        box.locked->queue.push_back(std::move(msg));
-    }
-    box.locked->cv.notify_one();
+    // The ring ticket doubles as the pair sequence stamp (push assigns
+    // it): tickets are claimed in delivery order, so the per-pair
+    // subsequence is strictly increasing — exactly the documented
+    // guarantee. A zero ticket (shutdown) drops the message, matching
+    // the teardown semantics of recv().
+    inboxes[msg.dst]->ring.push(std::move(msg));
 }
 
 bool
@@ -133,35 +89,9 @@ Network::recv(NodeId node, Message &out)
 {
     DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
     Inbox &box = *inboxes[node];
-
-    if (policy == InboxPolicy::LockFreeRing) {
-        if (!box.ring->pop(out))
-            return false;
-    } else {
-        std::unique_lock<std::mutex> g(box.locked->mu);
-        box.locked->cv.wait(g, [&] {
-            return !box.locked->queue.empty() ||
-                   down.load(std::memory_order_acquire);
-        });
-        if (box.locked->queue.empty())
-            return false;
-        out = std::move(box.locked->queue.front());
-        box.locked->queue.pop_front();
-    }
-
-    // In-order-per-pair invariant, checked on every delivery. Ring
-    // tickets are inbox-global (strictly increasing per pair); mutex
-    // stamps are dense per pair. Both must be monotone.
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
+    if (!box.ring.pop(out))
+        return false;
+    checkDeliveryOrder(out, node, box.lastDelivered);
     return true;
 }
 
@@ -170,22 +100,10 @@ Network::recvStatus(NodeId node, Message &out)
 {
     DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
     Inbox &box = *inboxes[node];
-    if (policy != InboxPolicy::LockFreeRing)
-        return recv(node, out) ? RingPop::Ok : RingPop::Closed;
-    const RingPop status = box.ring->popWithStatus(out);
-    if (status != RingPop::Ok)
-        return status;
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
-    return RingPop::Ok;
+    const RingPop status = box.ring.popWithStatus(out);
+    if (status == RingPop::Ok)
+        checkDeliveryOrder(out, node, box.lastDelivered);
+    return status;
 }
 
 RingPop
@@ -193,35 +111,10 @@ Network::recvTimed(NodeId node, Message &out, std::uint64_t timeout_ns)
 {
     DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
     Inbox &box = *inboxes[node];
-    if (policy != InboxPolicy::LockFreeRing) {
-        std::unique_lock<std::mutex> g(box.locked->mu);
-        const bool ready = box.locked->cv.wait_for(
-            g, std::chrono::nanoseconds(timeout_ns), [&] {
-                return !box.locked->queue.empty() ||
-                       down.load(std::memory_order_acquire);
-            });
-        if (!ready)
-            return RingPop::Timeout;
-        if (box.locked->queue.empty())
-            return RingPop::Closed;
-        out = std::move(box.locked->queue.front());
-        box.locked->queue.pop_front();
-    } else {
-        const RingPop status = box.ring->popTimed(out, timeout_ns);
-        if (status != RingPop::Ok)
-            return status;
-    }
-    if (out.pairSeq != 0) {
-        std::uint64_t &last = box.lastDelivered[out.src];
-        DSM_ASSERT(out.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out.src, node,
-                   static_cast<unsigned long long>(out.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out.pairSeq;
-    }
-    return RingPop::Ok;
+    const RingPop status = box.ring.popTimed(out, timeout_ns);
+    if (status == RingPop::Ok)
+        checkDeliveryOrder(out, node, box.lastDelivered);
+    return status;
 }
 
 void
@@ -243,55 +136,35 @@ Network::noteDispatched(NodeId dst, NodeId src)
 void
 Network::setAdaptiveInboxSpin(bool on)
 {
-    for (auto &box : inboxes) {
-        if (box->ring)
-            box->ring->setAdaptiveSpin(on);
-    }
+    for (auto &box : inboxes)
+        box->ring.setAdaptiveSpin(on);
 }
 
 void
 Network::markNodeDown(NodeId node)
 {
     DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    if (inboxes[node]->ring)
-        inboxes[node]->ring->setPeerDown(true);
+    inboxes[node]->ring.setPeerDown(true);
 }
 
 void
 Network::clearNodeDown(NodeId node)
 {
     DSM_ASSERT(node >= 0 && node < nnodes(), "bad node %d", node);
-    if (inboxes[node]->ring)
-        inboxes[node]->ring->setPeerDown(false);
+    inboxes[node]->ring.setPeerDown(false);
 }
 
 void
 Network::shutdown()
 {
-    down.store(true, std::memory_order_release);
-    for (auto &box : inboxes) {
-        if (box->ring) {
-            box->ring->shutdown();
-        } else {
-            std::lock_guard<std::mutex> g(box->locked->mu);
-            box->locked->cv.notify_all();
-        }
-    }
+    for (auto &box : inboxes)
+        box->ring.shutdown();
 }
 
 std::uint64_t
 Network::totalMessages() const
 {
     return accepted.load();
-}
-
-LossPlan
-dropEveryNth(std::uint64_t n)
-{
-    DSM_ASSERT(n > 0, "dropEveryNth(0)");
-    return [n](NodeId, NodeId, std::uint64_t seq, int attempt) {
-        return attempt == 0 && seq % n == 0;
-    };
 }
 
 } // namespace dsm

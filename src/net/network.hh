@@ -2,31 +2,28 @@
  * @file
  * The simulated cluster interconnect. Reliable in-order delivery per
  * sender/receiver pair over per-node inboxes; a configurable cost model
- * computes virtual arrival times. An optional loss plan simulates the
- * paper's unreliable AAL3/4 substrate: dropped transmissions are
- * recovered by a modeled stop-and-wait retransmission (counted and
- * charged with the retransmission timeout), after which the message is
- * delivered — so correctness is never affected, only cost, exactly like
- * the "operation-specific user-level protocols to insure delivery"
- * described in Section 6 of the paper.
+ * computes virtual arrival times. An optional modeled loss rate
+ * (lossEveryNth) simulates the paper's unreliable AAL3/4 substrate:
+ * dropped transmissions are recovered by a modeled stop-and-wait
+ * retransmission (counted and charged with the retransmission
+ * timeout), after which the message is delivered — so correctness is
+ * never affected, only cost, exactly like the "operation-specific
+ * user-level protocols to insure delivery" described in Section 6 of
+ * the paper.
  *
- * Inboxes come in two flavors (InboxPolicy): the default bounded
- * lock-free MPSC ring (net/mpsc_ring.hh — futex-parked consumer, no
- * mutex on the send path) and the seed mutex+condvar deque, kept for
- * old-vs-new latency comparisons (bench/micro_net.cc). Both stamp
- * every message with a per-(src, dst) sequence number and recv()
- * asserts it increases monotonically per pair, so the documented
- * in-order-per-pair guarantee is checked on every delivery.
+ * Each node's inbox is a bounded lock-free MPSC ring
+ * (net/mpsc_ring.hh — futex-parked consumer, no mutex on the send
+ * path). The ring ticket stamps every message with a delivery-ordered
+ * sequence number and every receive asserts it increases per
+ * (src, dst) pair, so the documented in-order-per-pair guarantee is
+ * checked on every delivery.
  */
 
 #ifndef DSM_NET_NETWORK_HH
 #define DSM_NET_NETWORK_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -40,25 +37,18 @@
 
 namespace dsm {
 
-/** How a node's inbox is implemented. */
-enum class InboxPolicy : std::uint8_t
-{
-    LockFreeRing, ///< bounded MPSC ring, futex-parked consumer
-    MutexQueue,   ///< seed mutex+condvar deque (ablation baseline)
-};
-
 class Network final : public Transport
 {
   public:
     /**
      * @param nnodes Number of nodes.
      * @param costModel Timing constants for transit computation.
-     * @param lossPlan Optional deterministic loss injector.
-     * @param policy Inbox implementation (default: lock-free ring).
+     * @param lossEveryNth Modeled loss rate (see chargeModeledWire);
+     *        0 = lossless.
+     * @param ringCapacity Slots per inbox ring.
      */
     Network(int nnodes, const CostModel &costModel,
-            LossPlan lossPlan = nullptr,
-            InboxPolicy policy = InboxPolicy::LockFreeRing,
+            std::uint64_t lossEveryNth = 0,
             std::size_t ringCapacity = MpscRing::kDefaultCapacity);
 
     /**
@@ -83,8 +73,7 @@ class Network final : public Transport
      * recv() with a typed status: returns RingPop::PeerDown (without
      * blocking) when @p node's inbox is empty and the node is marked
      * dead via markNodeDown — the path recovery-aware consumers use so
-     * a dead peer cannot park them forever. Ring policy only; the
-     * MutexQueue ablation maps peer-down to its ordinary blocking wait.
+     * a dead peer cannot park them forever.
      */
     RingPop recvStatus(NodeId node, Message &out) override;
 
@@ -159,29 +148,19 @@ class Network final : public Transport
 
     int nnodes() const override { return static_cast<int>(inboxes.size()); }
 
-    InboxPolicy inboxPolicy() const { return policy; }
-
     const CostModel &costModel() const override { return cm; }
 
     /** Total messages accepted (including retransmitted ones once). */
     std::uint64_t totalMessages() const override;
 
   private:
-    /** Seed inbox, kept as the MutexQueue ablation baseline. */
-    struct LockedInbox
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<Message> queue;
-    };
-
     struct Inbox
     {
-        /** Exactly one of these is constructed, per InboxPolicy (a
-         *  1024-slot ring embeds ~100 KB of Message slots — dead
-         *  weight in the mutex ablation, and vice versa). */
-        std::unique_ptr<MpscRing> ring;
-        std::unique_ptr<LockedInbox> locked;
+        Inbox(int nnodes, std::size_t capacity)
+            : ring(capacity), lastDelivered(nnodes, 0)
+        {}
+
+        MpscRing ring;
         /** Last pairSeq delivered per source (consumer-side; guards
          *  the in-order-per-pair invariant). */
         std::vector<std::uint64_t> lastDelivered;
@@ -197,17 +176,12 @@ class Network final : public Transport
     };
 
     CostModel cm;
-    LossPlan loss;
-    InboxPolicy policy;
+    std::uint64_t lossEveryNth;
     FaultInjector *faults = nullptr; ///< not owned; null = layer off
     std::vector<std::unique_ptr<Inbox>> inboxes;
     std::vector<std::unique_ptr<ReceiverSlot>> replySlots;
     std::atomic<std::uint64_t> nextSeq{1};
     std::atomic<std::uint64_t> accepted{0};
-    std::atomic<bool> down{false};
-    /** Per-(src, dst) sequence stamps, MutexQueue policy only (the
-     *  ring stamps with its delivery-ordered ticket instead). */
-    std::vector<std::uint64_t> pairSeqs;
     /** Per-(src, dst) count of inbox messages accepted but not yet
      *  fully dispatched — the reply-bypass ordering guard. */
     std::vector<std::atomic<std::uint32_t>> pairOutstanding;
@@ -218,9 +192,6 @@ class Network final : public Transport
         return static_cast<std::size_t>(src) * inboxes.size() + dst;
     }
 };
-
-/** A loss plan dropping the first attempt of every @p n-th message. */
-LossPlan dropEveryNth(std::uint64_t n);
 
 } // namespace dsm
 

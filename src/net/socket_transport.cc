@@ -40,9 +40,9 @@ readSome(int fd, std::byte *buf, std::size_t cap)
 SocketTransport::SocketTransport(NodeId self, int nnodes,
                                  const CostModel &cost_model,
                                  SocketKind kind, std::string dir_,
-                                 LossPlan loss_plan,
+                                 std::uint64_t loss_every_nth,
                                  std::size_t ring_capacity)
-    : cm(cost_model), loss(std::move(loss_plan)), id(self),
+    : cm(cost_model), lossEveryNth(loss_every_nth), id(self),
       numNodes(nnodes), sockKind(kind), dir(std::move(dir_))
 {
     DSM_ASSERT(nnodes > 0, "transport needs at least one node");
@@ -353,27 +353,9 @@ SocketTransport::send(Message &&msg, NodeStats &sender_stats)
     DSM_ASSERT(msg.src == id, "node %d sending as %d", id, msg.src);
     DSM_ASSERT(msg.type != MsgType::Invalid, "untyped message");
 
-    const std::uint64_t seq = nextSeq.fetch_add(1);
-    const std::size_t bytes = msg.wireSize();
-
-    // Identical modeled wire to the in-process tier: simulated loss
-    // with stop-and-wait recovery, then the cost-model transit charge.
-    std::uint64_t depart = msg.vtSendNs;
-    if (loss) {
-        int attempt = 0;
-        while (loss(msg.src, msg.dst, seq, attempt)) {
-            depart += cm.retransTimeoutNs;
-            sender_stats.retransmissions++;
-            sender_stats.messagesSent++;
-            sender_stats.bytesSent += bytes;
-            ++attempt;
-            DSM_ASSERT(attempt < 64, "loss plan drops forever");
-        }
-    }
-    msg.vtArriveNs = depart + cm.transitNs(bytes);
-
-    sender_stats.messagesSent++;
-    sender_stats.bytesSent += bytes;
+    // Identical modeled wire to the in-process tier.
+    chargeModeledWire(msg, nextSeq.fetch_add(1), lossEveryNth, cm,
+                      sender_stats);
     accepted.fetch_add(1);
 
     // Send-side fault injection, exactly as on tier 0: the message
@@ -420,16 +402,7 @@ SocketTransport::recv(NodeId node, Message &out_msg)
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
     if (!inbox->pop(out_msg))
         return false;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last,
-                   "out-of-order delivery %d->%d: pairSeq %llu after "
-                   "%llu",
-                   out_msg.src, node,
-                   static_cast<unsigned long long>(out_msg.pairSeq),
-                   static_cast<unsigned long long>(last));
-        last = out_msg.pairSeq;
-    }
+    checkDeliveryOrder(out_msg, node, lastDelivered);
     return true;
 }
 
@@ -438,14 +411,9 @@ SocketTransport::recvStatus(NodeId node, Message &out_msg)
 {
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
     const RingPop status = inbox->popWithStatus(out_msg);
-    if (status != RingPop::Ok)
-        return status;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last, "out-of-order delivery");
-        last = out_msg.pairSeq;
-    }
-    return RingPop::Ok;
+    if (status == RingPop::Ok)
+        checkDeliveryOrder(out_msg, node, lastDelivered);
+    return status;
 }
 
 RingPop
@@ -454,14 +422,9 @@ SocketTransport::recvTimed(NodeId node, Message &out_msg,
 {
     DSM_ASSERT(node == id, "node %d serving inbox of %d", id, node);
     const RingPop status = inbox->popTimed(out_msg, timeout_ns);
-    if (status != RingPop::Ok)
-        return status;
-    if (out_msg.pairSeq != 0) {
-        std::uint64_t &last = lastDelivered[out_msg.src];
-        DSM_ASSERT(out_msg.pairSeq > last, "out-of-order delivery");
-        last = out_msg.pairSeq;
-    }
-    return RingPop::Ok;
+    if (status == RingPop::Ok)
+        checkDeliveryOrder(out_msg, node, lastDelivered);
+    return status;
 }
 
 void

@@ -67,7 +67,7 @@ class SocketTransport final : public Transport
      */
     SocketTransport(NodeId self, int nnodes, const CostModel &costModel,
                     SocketKind kind, std::string dir,
-                    LossPlan lossPlan = nullptr,
+                    std::uint64_t lossEveryNth = 0,
                     std::size_t ringCapacity = MpscRing::kDefaultCapacity);
     ~SocketTransport() override;
 
@@ -140,7 +140,7 @@ class SocketTransport final : public Transport
     std::string listenPath() const;
 
     CostModel cm;
-    LossPlan loss;
+    std::uint64_t lossEveryNth;
     NodeId id;
     int numNodes;
     SocketKind sockKind;

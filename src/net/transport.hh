@@ -33,7 +33,7 @@
 #define DSM_NET_TRANSPORT_HH
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "net/fault_injector.hh"
 #include "net/message.hh"
@@ -44,12 +44,27 @@
 namespace dsm {
 
 /**
- * Decides whether transmission attempt @p attempt (0-based) of message
- * @p seq from @p src to @p dst is lost. Deterministic functions keep
- * runs reproducible.
+ * The modeled wire both tiers charge a send with: stamp @p msg's
+ * virtual arrival time and count the transmission in @p senderStats.
+ * With @p lossEveryNth > 0 the first attempt of every message whose
+ * transport sequence number @p seq is a multiple of it is lost (the
+ * paper's unreliable AAL3/4 substrate); the stop-and-wait retry
+ * departs one retransmission timeout later, is counted as a
+ * retransmission, and always gets through. Deterministic in @p seq,
+ * so runs stay reproducible.
  */
-using LossPlan = std::function<bool(NodeId src, NodeId dst,
-                                    std::uint64_t seq, int attempt)>;
+void chargeModeledWire(Message &msg, std::uint64_t seq,
+                       std::uint64_t lossEveryNth, const CostModel &cm,
+                       NodeStats &senderStats);
+
+/**
+ * The in-order-per-pair check both tiers run on every inbox pop:
+ * @p msg's pairSeq must exceed the last one @p dst received from the
+ * same source (@p lastDelivered, indexed by source; updated here).
+ * Unstamped (pairSeq 0) messages are exempt.
+ */
+void checkDeliveryOrder(const Message &msg, NodeId dst,
+                        std::vector<std::uint64_t> &lastDelivered);
 
 /**
  * Sink for replies delivered straight to the destination's parked

@@ -159,7 +159,7 @@ struct NodeStats
     std::uint64_t recoveryReplays = 0;
     /** Request retransmissions by the Endpoint deadline path after a
      *  fault-injected drop (distinct from `retransmissions`, which
-     *  counts the *modeled* stop-and-wait retries of LossPlan). */
+     *  counts the *modeled* stop-and-wait retries of lossEveryNth). */
     std::uint64_t msgRetransmits = 0;
     /** Failure-detector transitions this node's service thread
      *  performed: peers declared down after a missed liveness

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
+#include "net/network.hh"
 
 namespace dsm {
 namespace {
@@ -548,6 +551,196 @@ TEST(LrcWriterMask, DeclaredIntentRidesBarrierChannel)
         }
         rt.barrier(1);
     });
+}
+
+// ---------------------------------------------------------------------
+// Barrier departures stay within their own vector.
+//
+// The barrier manager (node 0) builds the departures one by one on its
+// service thread. Its own departure can reach its app thread through
+// the reply bypass while the others are still being built, and that
+// app thread can close its next interval in between. The harness below
+// wires three LRC nodes over a transport that forces this interleaving
+// at barrier 1: after sending node 0's departure, the manager's service
+// thread waits until node 0 has sent its barrier-2 arrival (so record
+// (0,1) is in the manager's log) before building the other two.
+
+/** The ring transport, plus the forced interleaving described above. */
+class DepartureGate final : public Transport
+{
+  public:
+    DepartureGate(int nnodes, const CostModel &cm) : inner(nnodes, cm) {}
+
+    void
+    send(Message &&msg, NodeStats &stats) override
+    {
+        const bool manager_depart =
+            msg.type == MsgType::BarrierDepart && msg.dst == 0;
+        const bool manager_arrival =
+            msg.type == MsgType::BarrierArrive && msg.src == 0;
+        inner.send(std::move(msg), stats);
+        std::unique_lock<std::mutex> g(mu);
+        if (manager_arrival) {
+            ++managerArrivals;
+            cv.notify_all();
+        }
+        // Barrier 1 is node 0's second arrival.
+        if (manager_depart && managerArrivals == 2) {
+            gateHeld = cv.wait_for(g, std::chrono::seconds(10),
+                                   [&] { return managerArrivals == 3; });
+        }
+    }
+
+    /** Block until node 0 has sent @p n barrier arrivals. */
+    void
+    awaitManagerArrivals(int n)
+    {
+        std::unique_lock<std::mutex> g(mu);
+        cv.wait(g, [&] { return managerArrivals >= n; });
+    }
+
+    /** Did node 0's next arrival (not the timeout) open the gate? */
+    bool
+    interleaved()
+    {
+        std::lock_guard<std::mutex> g(mu);
+        return gateHeld;
+    }
+
+    bool recv(NodeId node, Message &out) override
+    {
+        return inner.recv(node, out);
+    }
+    RingPop recvStatus(NodeId node, Message &out) override
+    {
+        return inner.recvStatus(node, out);
+    }
+    RingPop recvTimed(NodeId node, Message &out,
+                      std::uint64_t timeout_ns) override
+    {
+        return inner.recvTimed(node, out, timeout_ns);
+    }
+    void markNodeDown(NodeId node) override { inner.markNodeDown(node); }
+    void clearNodeDown(NodeId node) override { inner.clearNodeDown(node); }
+    void setFaultInjector(FaultInjector *injector) override
+    {
+        inner.setFaultInjector(injector);
+    }
+    void setReplyReceiver(NodeId node, ReplyReceiver *receiver) override
+    {
+        inner.setReplyReceiver(node, receiver);
+    }
+    void noteDispatched(NodeId dst, NodeId src) override
+    {
+        inner.noteDispatched(dst, src);
+    }
+    void setAdaptiveInboxSpin(bool on) override
+    {
+        inner.setAdaptiveInboxSpin(on);
+    }
+    void shutdown() override { inner.shutdown(); }
+    int nnodes() const override { return inner.nnodes(); }
+    const CostModel &costModel() const override
+    {
+        return inner.costModel();
+    }
+    std::uint64_t totalMessages() const override
+    {
+        return inner.totalMessages();
+    }
+
+  private:
+    Network inner;
+    std::mutex mu;
+    std::condition_variable cv;
+    int managerArrivals = 0;
+    bool gateHeld = false;
+};
+
+/** One LRC node wired the way Cluster wires it, on any transport. */
+struct GateNode
+{
+    GateNode(const ClusterConfig &cc, Transport &net, NodeId id)
+        : arena(cc.arenaBytes, cc.pageSize), ep(net, id, clock, stats),
+          locks(ep), barriers(ep)
+    {
+        Runtime::Deps deps;
+        deps.self = id;
+        deps.nprocs = cc.nprocs;
+        deps.arena = &arena;
+        deps.endpoint = &ep;
+        deps.locks = &locks;
+        deps.barriers = &barriers;
+        deps.regions = &regions;
+        deps.nodeLocks = &nlocks;
+        deps.cluster = &cc;
+        rt = std::make_unique<LrcRuntime>(deps);
+        ep.setReplyBypass(true);
+        ep.setHandler([this](Message &msg) {
+            if (msg.type == MsgType::BarrierArrive)
+                barriers.handleMessage(msg);
+            else
+                rt->handleMessage(msg);
+        });
+    }
+
+    VirtualClock clock;
+    NodeStats stats;
+    NodeLocks nlocks;
+    SharedArena arena;
+    RegionTable regions;
+    Endpoint ep;
+    LockService locks;
+    BarrierService barriers;
+    std::unique_ptr<LrcRuntime> rt;
+};
+
+TEST(LrcBarrierDepart, RecordsStayWithinTheDepartureVector)
+{
+    constexpr int kNodes = 3;
+    ClusterConfig cc = lrcConfig("LRC-diff", kNodes);
+    cc.gcAtBarriers = false;
+    DepartureGate net(kNodes, cc.cost);
+    std::vector<std::unique_ptr<GateNode>> nodes;
+    for (int i = 0; i < kNodes; ++i)
+        nodes.push_back(std::make_unique<GateNode>(cc, net, i));
+    for (auto &n : nodes)
+        n->ep.start();
+
+    std::vector<std::thread> workers;
+    for (int i = 0; i < kNodes; ++i) {
+        workers.emplace_back([&, i] {
+            // App-side counters go to this private context, so the
+            // node stats hold exactly the service thread's departures.
+            ThreadContext ctx;
+            ctx.node = i;
+            ctx.worker = i;
+            ctx.numWorkers = kNodes;
+            ctx.clock = &nodes[i]->clock;
+            ThreadContext::Scope scope(&ctx);
+            Runtime &rt = *nodes[i]->rt;
+            auto a = SharedArray<int>::alloc(rt, 64);
+            rt.barrier(0);
+            // Node 0 arrives first, so its departure is built first.
+            if (i != 0)
+                net.awaitManagerArrivals(2);
+            rt.barrier(1);
+            if (i == 0)
+                a.set(0, 1); // interval (0,1), closed by the next arrival
+            rt.barrier(2);
+        });
+    }
+    for (auto &t : workers)
+        t.join();
+    for (auto &n : nodes)
+        n->ep.stop();
+    net.shutdown();
+
+    ASSERT_TRUE(net.interleaved());
+    // Record (0,1) belongs to barrier 2: its departures to nodes 1 and
+    // 2 carry it once each. A barrier-1 departure that leaked it would
+    // make barrier 2 send it again.
+    EXPECT_EQ(nodes[0]->stats.writeNoticesSent, 2u);
 }
 
 } // namespace

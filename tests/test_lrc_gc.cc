@@ -159,6 +159,8 @@ TEST(LrcGc, SingleNodePrunesItsOwnLog)
 // ---------------------------------------------------------------------
 // Batched diff fetches.
 
+constexpr int kFanOutRounds = 6;
+
 /** One writer dirties several pages; every other node then reads them
  *  all. With batching, the first access miss piggybacks the remaining
  *  invalid pages into the same request pair. */
@@ -167,7 +169,7 @@ fanOutWorkload(Runtime &rt)
 {
     auto a = SharedArray<int>::alloc(rt, kPagesTouched * kIntsPerPage);
     rt.barrier(0);
-    for (int round = 1; round <= 6; ++round) {
+    for (int round = 1; round <= kFanOutRounds; ++round) {
         if (rt.self() == 0) {
             for (int p = 0; p < kPagesTouched; ++p)
                 a.set(p * kIntsPerPage, round * 10 + p);
@@ -181,24 +183,43 @@ fanOutWorkload(Runtime &rt)
 
 TEST(LrcBatch, BatchingCutsDiffRequestMessages)
 {
-    ClusterConfig on = gcConfig("LRC-diff", 3);
-    on.batchDiffFetch = true;
-    Cluster cluster_on(on);
-    RunResult with_batch = cluster_on.run(fanOutWorkload);
+    // Without cross-page piggybacking every miss is its own round trip
+    // per (page, writer): both readers miss each of the writer's pages
+    // once per round — the seed protocol's request count.
+    constexpr std::uint64_t kUnbatchedRequests =
+        2 * kPagesTouched * kFanOutRounds;
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        const bool diffing = name == "LRC-diff";
+        const auto requests = [&](const RunResult &r) {
+            return diffing ? r.total.diffRequestsSent
+                           : r.total.tsRequestsSent;
+        };
+        const auto piggybacked = [&](const RunResult &r) {
+            return diffing ? r.total.diffPagesPiggybacked
+                           : r.total.tsPagesPiggybacked;
+        };
 
-    ClusterConfig off = gcConfig("LRC-diff", 3);
-    off.batchDiffFetch = false;
-    Cluster cluster_off(off);
-    RunResult without_batch = cluster_off.run(fanOutWorkload);
+        ClusterConfig on = gcConfig(name, 3);
+        on.batchDiffFetch = true;
+        Cluster cluster_on(on);
+        RunResult with_batch = cluster_on.run(fanOutWorkload);
 
-    // Both configurations converge to the same data (asserted inside
-    // the workload); batching must do it with fewer request messages.
-    EXPECT_GT(with_batch.total.diffPagesPiggybacked, 0u);
-    EXPECT_LT(with_batch.total.diffRequestsSent,
-              without_batch.total.diffRequestsSent);
-    EXPECT_LT(with_batch.total.messagesSent,
-              without_batch.total.messagesSent);
-    EXPECT_EQ(without_batch.total.diffPagesPiggybacked, 0u);
+        ClusterConfig off = gcConfig(name, 3);
+        off.batchDiffFetch = false;
+        Cluster cluster_off(off);
+        RunResult without_batch = cluster_off.run(fanOutWorkload);
+
+        // Both configurations converge to the same data (asserted
+        // inside the workload); batching must do it with fewer request
+        // messages.
+        EXPECT_GT(piggybacked(with_batch), 0u);
+        EXPECT_LT(requests(with_batch), requests(without_batch));
+        EXPECT_EQ(requests(without_batch), kUnbatchedRequests);
+        EXPECT_LT(with_batch.total.messagesSent,
+                  without_batch.total.messagesSent);
+        EXPECT_EQ(piggybacked(without_batch), 0u);
+    }
 }
 
 TEST(LrcBatch, MultiWriterPagesStayCorrectUnderBatching)

@@ -4,7 +4,7 @@
  * its integration into Network: per-producer FIFO under many
  * concurrent producers, full-ring back-pressure with a tiny ring,
  * shutdown racing active producers, and the in-order-per-pair
- * delivery assertion at the Network level for both inbox policies.
+ * delivery assertion at the Network level.
  */
 
 #include <gtest/gtest.h>
@@ -224,7 +224,7 @@ TEST(MpscRing, PeerDownWakesParkedStatusConsumer)
 TEST(NetworkPeerDown, RecvStatusSeesDeathAndRecovery)
 {
     CostModel cm;
-    Network net(2, cm, nullptr, InboxPolicy::LockFreeRing);
+    Network net(2, cm);
     NodeStats stats;
     net.send(makeMsg(1, 5), stats);
     net.markNodeDown(0);
@@ -245,16 +245,13 @@ TEST(NetworkPeerDown, RecvStatusSeesDeathAndRecovery)
     EXPECT_EQ(net.recvStatus(0, out), RingPop::Closed);
 }
 
-class NetworkPolicyTest : public ::testing::TestWithParam<InboxPolicy>
-{};
-
-TEST_P(NetworkPolicyTest, InOrderPerPairUnderContention)
+TEST(NetworkPolicyTest, InOrderPerPairUnderContention)
 {
     // 7 sender nodes hammer node 0 through the Network (which asserts
     // pairSeq monotonicity per pair on every delivery); the payload
     // token re-checks per-pair FIFO end to end.
     CostModel cm;
-    Network net(8, cm, nullptr, GetParam());
+    Network net(8, cm);
     constexpr int kPerSender = 15000;
 
     std::vector<std::thread> senders;
@@ -280,16 +277,6 @@ TEST_P(NetworkPolicyTest, InOrderPerPairUnderContention)
     net.shutdown();
     EXPECT_FALSE(net.recv(0, out));
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, NetworkPolicyTest,
-                         ::testing::Values(InboxPolicy::LockFreeRing,
-                                           InboxPolicy::MutexQueue),
-                         [](const auto &info) {
-                             return info.param ==
-                                            InboxPolicy::LockFreeRing
-                                        ? std::string("ring")
-                                        : std::string("mutex");
-                         });
 
 } // namespace
 } // namespace dsm

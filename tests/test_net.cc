@@ -95,9 +95,7 @@ TEST(Network, LossChargesTimeoutAndCountsRetransmissions)
     cm.perByteNs = 0;
     cm.retransTimeoutNs = 50'000;
     // Drop the first attempt of every message.
-    Network net(2, cm, [](NodeId, NodeId, std::uint64_t, int attempt) {
-        return attempt == 0;
-    });
+    Network net(2, cm, 1);
     NodeStats stats;
     Message m;
     m.src = 0;
@@ -112,16 +110,32 @@ TEST(Network, LossChargesTimeoutAndCountsRetransmissions)
     EXPECT_EQ(stats.messagesSent, 2u); // original + retransmission
 }
 
-TEST(Network, DropEveryNthPlan)
+TEST(Network, LossEveryNthDropsEveryNthMessageOnce)
 {
-    auto plan = dropEveryNth(3);
-    int drops = 0;
-    for (std::uint64_t seq = 1; seq <= 9; ++seq) {
-        if (plan(0, 1, seq, 0))
-            ++drops;
-        EXPECT_FALSE(plan(0, 1, seq, 1)); // retransmissions succeed
+    CostModel cm;
+    cm.msgFixedNs = 100;
+    cm.perByteNs = 0;
+    cm.retransTimeoutNs = 50'000;
+    Network net(2, cm, 3);
+    NodeStats stats;
+    for (int i = 0; i < 9; ++i) {
+        Message m;
+        m.src = 0;
+        m.dst = 1;
+        m.type = MsgType::LockRequest;
+        m.vtSendNs = 0;
+        net.send(std::move(m), stats);
     }
-    EXPECT_EQ(drops, 3);
+    // Sequence numbers start at 1, so messages 3, 6 and 9 lose their
+    // first attempt; every retransmission gets through.
+    Message out;
+    for (int i = 1; i <= 9; ++i) {
+        ASSERT_TRUE(net.recv(1, out));
+        EXPECT_EQ(out.vtArriveNs, i % 3 == 0 ? 50'000u + 100u : 100u)
+            << "message " << i;
+    }
+    EXPECT_EQ(stats.retransmissions, 3u);
+    EXPECT_EQ(stats.messagesSent, 12u);
 }
 
 TEST(Network, ShutdownUnblocksReceivers)
@@ -350,7 +364,7 @@ TEST(TinyRing, MpscStressWithBypassArmed)
     // message. Multiple caller threads make the pending map and the
     // guard counters genuinely concurrent.
     CostModel cm;
-    Network net(2, cm, nullptr, InboxPolicy::LockFreeRing, 8);
+    Network net(2, cm, 0, 8);
     VirtualClock clocks[2];
     NodeStats stats[2];
     Endpoint ep0(net, 0, clocks[0], stats[0]);

@@ -63,6 +63,9 @@ struct ProtocolLeg
     /** Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT):
      *  reshapes hand-off scheduling, never values. */
     bool adaptFair = false;
+    /** Cross-page piggybacking on homeless misses (batchDiffFetch):
+     *  off, each miss fetches only its own page. */
+    bool batch = true;
 };
 
 const ProtocolLeg kLegs[] = {
@@ -110,6 +113,18 @@ const ProtocolLeg kLegs[] = {
      -1, -1, -1, true},
     {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true,
      true, 1, 1, 1, true},
+    // The batched miss protocol without cross-page piggybacking, once
+    // per collection method.
+    {.label = "LRC_nobatch",
+     .config = "LRC-diff",
+     .home = false,
+     .piggyback = true,
+     .batch = false},
+    {.label = "LRC_time_nobatch",
+     .config = "LRC-time",
+     .home = false,
+     .piggyback = true,
+     .batch = false},
 };
 
 struct KernelCase
@@ -147,6 +162,7 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.coalesceSends = leg.coalesce;
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;
+    cc.batchDiffFetch = leg.batch;
     // Last-writer legs use an aggressive classifier and a tiny
     // ping-pong budget so migrations *and* the pin both happen inside
     // these small kernels.

@@ -72,7 +72,7 @@ TEST(FrameCodec, DataFrameSurvivesEveryChunking)
     for (std::size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<std::byte>(i * 7 + 1);
     const Message msg =
-        makeMessage(2, 5, MsgType::DiffRequest, payload);
+        makeMessage(2, 5, MsgType::DiffBatchRequest, payload);
     const std::vector<std::byte> wire = encodeDataFrame(msg);
 
     // Split the wire bytes at every possible boundary, including in
@@ -339,7 +339,8 @@ TEST(SocketPair, RetransmitRecoversInjectedDrops)
     h.eps[1]->setRetransmitTimeouts(1'000'000, 8'000'000);
     // Diff RPCs are the droppable shape (requester owns the round
     // trip end to end); lock traffic is chain-routed and immune.
-    runRpcSmoke(h, 300, MsgType::DiffRequest, MsgType::DiffReply);
+    runRpcSmoke(h, 300, MsgType::DiffBatchRequest,
+                MsgType::DiffBatchReply);
     // With a 30% drop rate some requests or replies were certainly
     // lost and recovered; the deadline-path counter (msgRetransmits,
     // not the modeled-loss `retransmissions`) proves it engaged.
