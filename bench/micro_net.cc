@@ -1,8 +1,8 @@
 /**
  * @file
  * Microbenchmark of the node inbox (the bounded lock-free MPSC ring)
- * and the latency paths around it: the reply-bypass and
- * send-coalescing ablations, and the socket tier's round trip.
+ * and the latency paths around it: the reply-bypass ablation and the
+ * socket tier's round trip.
  *
  * Shapes, all in real (wall-clock) nanoseconds:
  *  - rpc: Endpoint::call round trips between two nodes' app threads —
@@ -17,10 +17,6 @@
  *  - fanin: 7 producer threads blasting one consumer — the batched
  *    diff/timestamp request traffic shape, measuring throughput
  *    (informational: an absolute, host-dependent number).
- *  - coalesce: bursts of small same-destination one-way messages
- *    (the HomeDiffFlush shape) with send-side coalescing off vs on —
- *    on buffers the burst and ships one framed ring slot per
- *    request boundary.
  *
  * Emits BENCH_net.json (tracked in the repo) so the inbox latency
  * trajectory is visible across PRs; tools/bench_gate.py gates its
@@ -197,64 +193,6 @@ faninNsPerMsg(int producers, int per_producer)
            total;
 }
 
-struct CoalesceResult
-{
-    double nsPerMsg;
-    /** Modeled wire messages for the whole run — deterministic, so
-     *  the off/on ratio is bit-stable across hosts (the wall-clock
-     *  ns/msg wobbles: ring pushes are already cheap uncontended). */
-    std::uint64_t wireMessages;
-};
-
-/** Bursts of small one-way HomeDiffFlush messages to one peer, a
- *  call() as the request boundary after each burst (which is also
- *  what flushes the coalescing buffer). */
-CoalesceResult
-coalesceShape(bool coalesce, int bursts, int per_burst)
-{
-    CostModel cm;
-    Network net(2, cm);
-    VirtualClock clocks[2];
-    NodeStats stats[2];
-    Endpoint a(net, 0, clocks[0], stats[0]);
-    Endpoint b(net, 1, clocks[1], stats[1]);
-    a.setCoalescing(coalesce);
-    b.setHandler([&](Message &msg) {
-        if (msg.replyToken != 0)
-            b.reply(msg.src, MsgType::HomePageReply, {},
-                    msg.replyToken);
-    });
-    a.setHandler([](Message &) {});
-    a.start();
-    b.start();
-
-    const auto burst = [&] {
-        for (int i = 0; i < per_burst; ++i)
-            a.send(1, MsgType::HomeDiffFlush,
-                   std::vector<std::byte>(16));
-        a.call(1, MsgType::HomePageRequest, {});
-    };
-    for (int w = 0; w < 200; ++w)
-        burst();
-    const std::uint64_t msgs_before = net.totalMessages();
-
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < bursts; ++i)
-        burst();
-    const auto end = std::chrono::steady_clock::now();
-    const std::uint64_t msgs = net.totalMessages() - msgs_before;
-
-    a.stop();
-    b.stop();
-    net.shutdown();
-    CoalesceResult r;
-    r.nsPerMsg = std::chrono::duration<double, std::nano>(end - start)
-                     .count() /
-                 (static_cast<double>(bursts) * per_burst);
-    r.wireMessages = msgs;
-    return r;
-}
-
 } // namespace
 
 int
@@ -263,23 +201,14 @@ main()
     const int rpc_iters = 20000;
     const int producers = 7;
     const int per_producer = 60000;
-    const int coalesce_bursts = 6000;
-    const int coalesce_batch = 16;
 
     std::printf("=== micro_net: MPSC ring inbox latency, reply bypass, "
-                "send coalescing ===\n");
+                "socket tier ===\n");
 
     const RpcResult rpc_ring = rpcRoundTrip(rpc_iters, true);
     const RpcResult rpc_ring_nobypass = rpcRoundTrip(rpc_iters, false);
     const RpcResult rpc_socket = rpcRoundTripSocket(rpc_iters, true);
     const double fan_ring = faninNsPerMsg(producers, per_producer);
-    const CoalesceResult coal_off =
-        coalesceShape(false, coalesce_bursts, coalesce_batch);
-    const CoalesceResult coal_on =
-        coalesceShape(true, coalesce_bursts, coalesce_batch);
-    const double coal_msg_reduction =
-        static_cast<double>(coal_off.wireMessages) /
-        static_cast<double>(coal_on.wireMessages);
 
     std::printf("%-30s %10s %10s %10s\n", "shape", "mean ns", "p50 ns",
                 "p99 ns");
@@ -295,13 +224,6 @@ main()
     std::printf("%-30s %9.2fx\n", "ring/socket rpc p50 ratio",
                 rpc_ring.p50Ns / rpc_socket.p50Ns);
     std::printf("%-30s %10.0f\n", "fan-in ring ns/msg", fan_ring);
-    std::printf("%-30s %10.0f  (%llu wire msgs)\n",
-                "coalesce off ns/msg", coal_off.nsPerMsg,
-                static_cast<unsigned long long>(coal_off.wireMessages));
-    std::printf("%-30s %10.0f  (%llu wire msgs, %.2fx fewer)\n",
-                "coalesce on ns/msg", coal_on.nsPerMsg,
-                static_cast<unsigned long long>(coal_on.wireMessages),
-                coal_msg_reduction);
 
     char json[2048];
     std::snprintf(
@@ -310,8 +232,6 @@ main()
         "  \"rpc_iters\": %d,\n"
         "  \"fanin_producers\": %d,\n"
         "  \"fanin_msgs_per_producer\": %d,\n"
-        "  \"coalesce_bursts\": %d,\n"
-        "  \"coalesce_batch\": %d,\n"
         "  \"rpc_roundtrip_ring_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_p50_ns\": %.0f,\n"
         "  \"rpc_roundtrip_ring_p99_ns\": %.0f,\n"
@@ -323,24 +243,14 @@ main()
         "  \"rpc_roundtrip_socket_p99_ns\": %.0f,\n"
         "  \"rpc_ring_vs_socket_p50\": %.3f,\n"
         "  \"rpc_bypass_speedup\": %.2f,\n"
-        "  \"fanin_ring_ns_per_msg\": %.0f,\n"
-        "  \"coalesce_off_ns_per_msg\": %.0f,\n"
-        "  \"coalesce_on_ns_per_msg\": %.0f,\n"
-        "  \"coalesce_off_wire_msgs\": %llu,\n"
-        "  \"coalesce_on_wire_msgs\": %llu,\n"
-        "  \"coalesce_msg_reduction\": %.2f\n"
+        "  \"fanin_ring_ns_per_msg\": %.0f\n"
         "}\n",
-        rpc_iters, producers, per_producer, coalesce_bursts,
-        coalesce_batch, rpc_ring.meanNs,
+        rpc_iters, producers, per_producer, rpc_ring.meanNs,
         rpc_ring.p50Ns, rpc_ring.p99Ns, rpc_ring_nobypass.meanNs,
         rpc_ring_nobypass.p50Ns, rpc_ring_nobypass.p99Ns,
         rpc_socket.meanNs, rpc_socket.p50Ns, rpc_socket.p99Ns,
         rpc_ring.p50Ns / rpc_socket.p50Ns,
-        rpc_ring_nobypass.meanNs / rpc_ring.meanNs, fan_ring,
-        coal_off.nsPerMsg, coal_on.nsPerMsg,
-        static_cast<unsigned long long>(coal_off.wireMessages),
-        static_cast<unsigned long long>(coal_on.wireMessages),
-        coal_msg_reduction);
+        rpc_ring_nobypass.meanNs / rpc_ring.meanNs, fan_ring);
 
     const char *out_path = "BENCH_net.json";
     if (FILE *f = std::fopen(out_path, "w")) {

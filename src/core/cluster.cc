@@ -58,11 +58,15 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     // Latency-path knobs (PR 9).
     cfg.replyBypass = cfg.resolvedReplyBypass() ? 1 : 0;
     cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
-    cfg.coalesceSends = cfg.resolvedCoalesceSends() ? 1 : 0;
+    DSM_ASSERT(cfg.coalesceSends == 0,
+               "send coalescing is retired; coalesceSends must be 0");
     cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
     // Transport tier: resolve before the crash-tolerance knobs so the
     // in-process-only fallback sees their resolved values too.
-    cfg.transport = cfg.resolvedTransport();
+    std::string fallback;
+    cfg.transport = cfg.resolvedTransport(&fallback);
+    if (!fallback.empty())
+        warn("%s", fallback.c_str());
     cfg.socketDir = cfg.resolvedSocketDir();
     DSM_ASSERT(cfg.optReadMaxRetries >= 0, "bad optReadMaxRetries %d",
                cfg.optReadMaxRetries);
@@ -126,7 +130,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
         if (faults)
             n->ep.setFaultsEnabled(true);
         n->ep.setReplyBypass(cfg.replyBypass > 0);
-        n->ep.setCoalescing(cfg.coalesceSends > 0);
         n->ep.setBlockingDequeue(cfg.blockingDequeue > 0);
         n->ep.setRetransmitTimeouts(cfg.resolvedRtoFirstNs(),
                                     cfg.resolvedRtoCapNs());

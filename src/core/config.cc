@@ -57,7 +57,7 @@ RuntimeConfig::parse(const std::string &name)
 }
 
 std::string
-ClusterConfig::resolvedTransport() const
+ClusterConfig::resolvedTransport(std::string *fallback) const
 {
     std::string t = transport;
     if (t.empty()) {
@@ -77,13 +77,19 @@ ClusterConfig::resolvedTransport() const
     // presence pins the run to tier 0. The probabilistic message-drop
     // layer alone is transport-neutral (send-side injector, per-node
     // retransmit/dedup) and stays on the socket tiers.
-    const bool inProcessOnly = resolvedCheckpointEvery() > 0 ||
-                               resolvedFaultKillNode() >= 0 ||
-                               resolvedFaultOutageNode() >= 0 ||
-                               resolvedFdDeadlineNs() > 0;
-    if (inProcessOnly)
-        return "ring";
-    return t;
+    const char *inProcessOnly =
+        resolvedCheckpointEvery() > 0    ? "checkpointing"
+        : resolvedFaultKillNode() >= 0   ? "chaos kill"
+        : resolvedFaultOutageNode() >= 0 ? "the silent-peer outage"
+        : resolvedFdDeadlineNs() > 0     ? "the failure detector"
+                                         : nullptr;
+    if (inProcessOnly == nullptr)
+        return t;
+    if (fallback != nullptr) {
+        *fallback = "transport '" + t + "' falls back to 'ring': " +
+                    inProcessOnly + " runs in-process only";
+    }
+    return "ring";
 }
 
 std::string
@@ -180,12 +186,6 @@ bool
 ClusterConfig::resolvedBlockingDequeue() const
 {
     return resolveEnvDefault(blockingDequeue, "DSM_BLOCKING_DEQ", 0) != 0;
-}
-
-bool
-ClusterConfig::resolvedCoalesceSends() const
-{
-    return resolveEnvDefault(coalesceSends, "DSM_COALESCE", 0) != 0;
 }
 
 bool

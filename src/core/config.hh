@@ -295,10 +295,9 @@ struct ClusterConfig
      */
     int homeFlushDefer = -1;
 
-    // --- Latency-path layer (PR 9): reply-bypass delivery, adaptive
-    // blocking dequeue and same-destination coalescing. Same -1 =
-    // "resolve from the environment at Cluster construction"
-    // convention as the policy knobs.
+    // --- Latency-path layer: reply-bypass delivery and adaptive
+    // blocking dequeue. Same -1 = "resolve from the environment at
+    // Cluster construction" convention as the policy knobs.
 
     /**
      * Reply-bypass delivery: RPC replies are written straight into
@@ -323,18 +322,14 @@ struct ClusterConfig
     int blockingDequeue = -1;
 
     /**
-     * Send-side same-destination coalescing: small eager messages
-     * (home diff flushes, home-migrate installs) are buffered per
-     * destination and shipped as one framed CoalescedFrame ring slot,
-     * flushed at request boundaries (before any blocking call, before
-     * any direct send or reply to the same destination, at the end of
-     * each service-thread dispatch and before idle parks) so framing
-     * never reorders against other traffic to that peer. The frame
-     * format is transport-neutral (length-prefixed serde entries).
-     * -1 = DSM_COALESCE env if set, else off. Counted by
-     * coalesceFramesSent / messagesCoalesced.
+     * Retired send-side coalescing. Only 0 is accepted (Cluster
+     * rejects anything else); the field stays because the benchmark
+     * in perfbench/ assigns every field. Home traffic is batched by
+     * the protocol instead: one HomeDiffFlush per home per interval
+     * close (merged across closes under homeFlushDefer) and one
+     * HomeMigrate per peer per migration batch.
      */
-    int coalesceSends = -1;
+    int coalesceSends = 0;
 
     /**
      * Per-lock adaptive fairness bound: instead of the static
@@ -499,8 +494,11 @@ struct ClusterConfig
     std::string socketDir;
 
     /** transport with the empty = "env or ring" default applied and
-     *  the in-process-only fallback rules enforced. */
-    std::string resolvedTransport() const;
+     *  the in-process-only fallback rules enforced. When a requested
+     *  socket tier falls back to the ring, @p fallback (if non-null)
+     *  receives a message naming the tier and the feature that forced
+     *  the move. */
+    std::string resolvedTransport(std::string *fallback = nullptr) const;
 
     /** socketDir with the empty = "env or ephemeral" default (empty
      *  result = make a fresh directory per run). */
@@ -529,9 +527,6 @@ struct ClusterConfig
 
     /** blockingDequeue with the -1 = "env or off" default. */
     bool resolvedBlockingDequeue() const;
-
-    /** coalesceSends with the -1 = "env or off" default. */
-    bool resolvedCoalesceSends() const;
 
     /** lockFairnessAdaptive with the -1 = "env or off" default. */
     bool resolvedLockFairnessAdaptive() const;

@@ -1745,7 +1745,8 @@ LrcRuntime::serveParkedPageRequests()
 }
 
 void
-LrcRuntime::migrateHome(PageId page, NodeId new_home)
+LrcRuntime::migrateHome(std::vector<WireWriter> &out, PageId page,
+                        NodeId new_home)
 {
     PageHomeTable::HomeState *hs = homes.find(page);
     DSM_ASSERT(hs && new_home != id, "bad migration of page %u", page);
@@ -1755,7 +1756,7 @@ LrcRuntime::migrateHome(PageId page, NodeId new_home)
     for (NodeId n = 0; n < numProcs; ++n) {
         if (n == id)
             continue;
-        WireWriter w;
+        WireWriter &w = out[n];
         w.putU32(page);
         w.putU16(static_cast<std::uint16_t>(new_home));
         w.putU32(epoch);
@@ -1779,7 +1780,6 @@ LrcRuntime::migrateHome(PageId page, NodeId new_home)
         } else {
             w.putU8(0);
         }
-        ep->send(n, MsgType::HomeMigrate, w.take());
     }
 
     homes.setHome(page, new_home, epoch);
@@ -1787,17 +1787,6 @@ LrcRuntime::migrateHome(PageId page, NodeId new_home)
     // Our copy stays behind as an ordinary cached replica; meta.copyVt
     // already tracks what it contains, and future notices invalidate
     // it like any other copy.
-    serveParkedPageRequests(); // forwards this page's parked requests
-    for (auto it = parkedFlushes.begin(); it != parkedFlushes.end();) {
-        if (it->page != page) {
-            ++it;
-            continue;
-        }
-        sendSingleFlush(new_home, it->page, it->proc, it->idx,
-                        it->prevIdx, it->vtSum, it->diff);
-        it = parkedFlushes.erase(it);
-    }
-    homeCv.notify_all(); // a local app thread may be waiting as home
 }
 
 namespace {
@@ -2001,6 +1990,11 @@ LrcRuntime::drainParkedFlushes()
 void
 LrcRuntime::runMigrations(const std::vector<MigrateReq> &migrate)
 {
+    if (migrate.empty())
+        return;
+    // One HomeMigrate per peer carries the whole batch.
+    std::vector<WireWriter> out(static_cast<std::size_t>(numProcs));
+    bool moved = false;
     for (const MigrateReq &req : migrate) {
         // A merged flush can fire the policy for several intervals of
         // one page; only the first request still finds us the home,
@@ -2009,8 +2003,28 @@ LrcRuntime::runMigrations(const std::vector<MigrateReq> &migrate)
             continue;
         if (req.viaLastWriter)
             stats().lastWriterMigrations++;
-        migrateHome(req.page, req.dst);
+        migrateHome(out, req.page, req.dst);
+        moved = true;
     }
+    if (!moved)
+        return;
+    // The installs go out before any parked request or flush chases a
+    // moved page, so per-pair FIFO delivers each install first.
+    for (NodeId n = 0; n < numProcs; ++n) {
+        if (n != id)
+            ep->send(n, MsgType::HomeMigrate, out[n].take());
+    }
+    serveParkedPageRequests(); // forwards the moved pages' requests
+    for (auto it = parkedFlushes.begin(); it != parkedFlushes.end();) {
+        if (homes.isHome(it->page)) {
+            ++it;
+            continue;
+        }
+        sendSingleFlush(homes.homeOf(it->page), it->page, it->proc,
+                        it->idx, it->prevIdx, it->vtSum, it->diff);
+        it = parkedFlushes.erase(it);
+    }
+    homeCv.notify_all(); // a local app thread may be waiting as home
 }
 
 void
@@ -2104,7 +2118,7 @@ LrcRuntime::handleHomePageRequest(Message &msg)
             {origin, msg.replyToken, page, need, req_log});
     }
     if (migrate)
-        migrateHome(page, origin);
+        runMigrations({{page, origin, false}});
 }
 
 bool
@@ -2233,23 +2247,38 @@ void
 LrcRuntime::handleHomeMigrate(Message &msg)
 {
     WireReader r(msg.payload);
-    const PageId page = r.getU32();
-    const NodeId new_home = static_cast<NodeId>(r.getU16());
-    const std::uint32_t epoch = r.getU32();
-    const bool full = r.getU8() != 0;
-
     std::scoped_lock g(nl->core, nl->home);
-    if (!homes.setHome(page, new_home, epoch))
-        return; // stale broadcast of an already superseded migration
-    if (!full) {
-        serveParkedPageRequests(); // parked entries may need to chase
-        return;
+    // One entry per page of the sender's migration batch.
+    while (!r.done()) {
+        const PageId page = r.getU32();
+        const NodeId new_home = static_cast<NodeId>(r.getU16());
+        const std::uint32_t epoch = r.getU32();
+        const bool full = r.getU8() != 0;
+        if (!homes.setHome(page, new_home, epoch)) {
+            // Stale entry of an already superseded migration: skip it,
+            // but read past its payload to reach the next entry.
+            if (full) {
+                VectorTime::decode(r);
+                // Word-sum runs are (start u32, length u32, value u64).
+                r.skip(std::size_t{r.getU32()} * 16 + arena->pageSize());
+            }
+            continue;
+        }
+        if (full) {
+            DSM_ASSERT(new_home == id,
+                       "full migration payload sent to node %d", id);
+            installMigratedHome(page, r);
+        }
     }
+    serveParkedPageRequests(); // parked entries may need to chase
+    homeCv.notify_all();
+}
 
+void
+LrcRuntime::installMigratedHome(PageId page, WireReader &r)
+{
     // We are the new home: install the applied vector, word sums and
     // the authoritative copy.
-    DSM_ASSERT(new_home == id, "full migration payload sent to node %d",
-               id);
     const std::uint32_t page_words =
         static_cast<std::uint32_t>(arena->pageSize() / 4);
     homes.drop(page); // any stale state from an earlier tenure
@@ -2295,9 +2324,6 @@ LrcRuntime::handleHomeMigrate(Message &msg)
                                   ? PageAccess::ReadWrite
                                   : PageAccess::Read);
     }
-
-    serveParkedPageRequests();
-    homeCv.notify_all();
 }
 
 // Checkpoint serialization. Runs at a barrier cut with the service

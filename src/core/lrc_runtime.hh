@@ -267,6 +267,10 @@ class LrcRuntime : public Runtime
     void handleHomePageRequest(Message &msg);
     void handleHomeMigrate(Message &msg);
 
+    /** Install one full HomeMigrate entry: we are @p page's new home.
+     *  Mutex held. */
+    void installMigratedHome(PageId page, WireReader &r);
+
     /**
      * Optimistic read-only page service: answer a snapshot-eligible
      * HomePageRequest without taking the home core lock. Runs on the
@@ -326,11 +330,15 @@ class LrcRuntime : public Runtime
     };
 
     /** Perform the collected migrations that still find us the home,
-     *  counting last-writer-triggered ones. Mutex held. */
+     *  counting last-writer-triggered ones: one HomeMigrate per peer
+     *  carries the whole batch, sent before any parked request or
+     *  flush of a moved page is forwarded. Mutex held. */
     void runMigrations(const std::vector<MigrateReq> &migrate);
 
-    /** Hand @p page's home role to @p new_home. Mutex held. */
-    void migrateHome(PageId page, NodeId new_home);
+    /** Hand @p page's home role to @p new_home, appending its entry
+     *  to each peer's batch in @p out (indexed by node). Mutex held. */
+    void migrateHome(std::vector<WireWriter> &out, PageId page,
+                     NodeId new_home);
 
     /** Encode every stored diff of @p page newer than @p req_vt (one
      *  count prefix plus (proc, idx, vtSum, diff) tuples). */

@@ -94,8 +94,6 @@ Runtime::pollIdle()
     if (!ep->blockingDequeueOn())
         return;
     ep->stats().idlePolls++;
-    // Nothing buffered may sit unsent while this worker sleeps.
-    ep->flushCoalesced();
     // Adaptive spin before parking, same shape as the ring consumer:
     // a poller whose last wait parked skips straight to the futex.
     static thread_local bool lastParked = false;

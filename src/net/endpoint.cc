@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/failure_detector.hh"
-#include "net/serde.hh"
 #include "util/buffer_pool.hh"
 #include "util/logging.hh"
 
@@ -50,15 +49,6 @@ Endpoint::setReplyBypass(bool on)
 {
     DSM_ASSERT(!running.load(), "bypass flipped while running");
     bypassOn = on;
-}
-
-void
-Endpoint::setCoalescing(bool on)
-{
-    DSM_ASSERT(!running.load(), "coalescing flipped while running");
-    coalesceOn = on;
-    if (on && coalesceBufs.empty())
-        coalesceBufs.resize(static_cast<std::size_t>(net->nnodes()));
 }
 
 void
@@ -123,8 +113,6 @@ Endpoint::stop()
 {
     if (!running.exchange(false))
         return;
-    // A buffered coalesced message must not die with the endpoint.
-    flushCoalesced();
     // Deregister first: setReplyReceiver synchronizes with in-flight
     // senders, so after this no peer thread can reach into our
     // pending map — replies sent while we are stopped (a checkpoint
@@ -146,15 +134,6 @@ void
 Endpoint::send(NodeId dst, MsgType type, std::vector<std::byte> payload,
                std::uint64_t reply_token)
 {
-    if (coalesceOn && reply_token == 0 && coalescable(type) &&
-        dst != id) {
-        std::lock_guard<std::mutex> g(coalMu);
-        coalesceBufs[dst].push_back({type, 0, std::move(payload)});
-        return;
-    }
-    // A direct send must queue behind anything already buffered for
-    // this destination, or the receiver would observe it reordered.
-    flushCoalescedTo(dst);
     Message msg;
     msg.src = id;
     msg.dst = dst;
@@ -170,10 +149,6 @@ Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
                 std::uint64_t reply_token)
 {
     DSM_ASSERT(reply_token != 0, "reply without token");
-    // A reply can be bypassed straight into the caller's slot; a
-    // buffered frame for the same destination must go on the wire
-    // first or the reply would overtake it.
-    flushCoalescedTo(dst);
     Message msg;
     msg.src = id;
     msg.dst = dst;
@@ -185,66 +160,6 @@ Endpoint::reply(NodeId dst, MsgType type, std::vector<std::byte> payload,
     if (faultsOn)
         recordReply(dst, type, msg.payload, reply_token);
     net->send(std::move(msg), stats());
-}
-
-bool
-Endpoint::coalescable(MsgType type)
-{
-    // One-way, token-free traffic whose receivers tolerate any
-    // arrival order relative to each other (the home's word-sum
-    // guard): eager/deferred diff flushes and migrate installs.
-    // Request/reply RPCs and chain-routed lock traffic never
-    // coalesce — their latency is the round trip itself.
-    return type == MsgType::HomeDiffFlush ||
-           type == MsgType::HomeMigrate;
-}
-
-void
-Endpoint::flushCoalescedTo(NodeId dst)
-{
-    if (!coalesceOn)
-        return;
-    std::lock_guard<std::mutex> g(coalMu);
-    auto &buf = coalesceBufs[dst];
-    if (buf.empty())
-        return;
-    // The frame is sent under coalMu so concurrent flushers cannot
-    // interleave two frames for one destination out of buffer order;
-    // the push may block on a full ring, but the consumer that drains
-    // it never takes this endpoint's coalMu — no cycle.
-    Message msg;
-    msg.src = id;
-    msg.dst = dst;
-    msg.vtSendNs = clock().now();
-    if (buf.size() == 1) {
-        // A lone message gains nothing from framing; ship it as-is.
-        msg.type = buf.front().type;
-        msg.payload = std::move(buf.front().payload);
-    } else {
-        WireWriter w;
-        w.putU32(static_cast<std::uint32_t>(buf.size()));
-        for (CoalescedEntry &e : buf) {
-            w.putU8(static_cast<std::uint8_t>(e.type));
-            w.putU64(e.token);
-            w.putBlob(e.payload);
-            BufferPool::instance().release(std::move(e.payload));
-        }
-        msg.type = MsgType::CoalescedFrame;
-        msg.payload = w.take();
-        stats().coalesceFramesSent++;
-        stats().messagesCoalesced += buf.size();
-    }
-    buf.clear();
-    net->send(std::move(msg), stats());
-}
-
-void
-Endpoint::flushCoalesced()
-{
-    if (!coalesceOn)
-        return;
-    for (NodeId dst = 0; dst < net->nnodes(); ++dst)
-        flushCoalescedTo(dst);
 }
 
 void
@@ -287,10 +202,6 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
 {
     if (peer_down != nullptr)
         *peer_down = false;
-    // Request boundary: everything buffered must be on the wire
-    // before we block — a parked frame would stall its receivers for
-    // the whole round trip (and deadlock if the responder needs it).
-    flushCoalesced();
     const std::uint64_t token = nextToken.fetch_add(1);
     PendingReply slot;
     {
@@ -471,10 +382,6 @@ Endpoint::dispatch(Message &msg)
 
     const NodeId src = msg.src;
     dispatchInner(msg);
-    // Handlers may have buffered coalescable sends; the service
-    // thread is about to go back to recv (possibly to park), so they
-    // go on the wire now — the frame is the request-boundary batch.
-    flushCoalesced();
     // Every earlier send from src is now fully applied: re-arm the
     // reply-bypass ordering guard for the pair (release-decrement
     // pairs with the guard's acquire load in Network::send).
@@ -492,11 +399,6 @@ Endpoint::dispatchInner(Message &msg)
     vclock.advanceTo(msg.vtArriveNs);
     nodeStats.messagesReceived++;
     nodeStats.bytesReceived += msg.wireSize();
-
-    if (msg.type == MsgType::CoalescedFrame) {
-        dispatchFrame(msg);
-        return;
-    }
 
     if (msg.isReply) {
         // Fill + notify under pendingMu: the caller must reacquire
@@ -528,35 +430,6 @@ Endpoint::dispatchInner(Message &msg)
     DSM_ASSERT(handler != nullptr, "message with no handler");
     handler(msg);
     // The request payload is dead once handled; recycle it.
-    BufferPool::instance().release(std::move(msg.payload));
-}
-
-void
-Endpoint::dispatchFrame(Message &msg)
-{
-    WireReader r(msg.payload);
-    const std::uint32_t count = r.getU32();
-    DSM_ASSERT(count >= 2, "degenerate coalesced frame of %u", count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        Message sub;
-        sub.src = msg.src;
-        sub.dst = id;
-        sub.type = static_cast<MsgType>(r.getU8());
-        sub.replyToken = r.getU64();
-        // Arrival/send stamps inherit the frame's: the batch crossed
-        // the wire as one message and its parts become visible
-        // together. pairSeq stays 0 — sub-messages never pass recv(),
-        // so the per-pair assert never sees them.
-        sub.vtSendNs = msg.vtSendNs;
-        sub.vtArriveNs = msg.vtArriveNs;
-        sub.payload = r.getBlob();
-        DSM_ASSERT(coalescable(sub.type) && !sub.isReply,
-                   "non-coalescable %s inside a frame",
-                   toString(sub.type));
-        DSM_ASSERT(handler != nullptr, "message with no handler");
-        handler(sub);
-        BufferPool::instance().release(std::move(sub.payload));
-    }
     BufferPool::instance().release(std::move(msg.payload));
 }
 

@@ -163,14 +163,6 @@ class Endpoint : public ReplyReceiver
     void setReplyBypass(bool on);
 
     /**
-     * Arm send-side same-destination coalescing (DSM_COALESCE):
-     * coalescable one-way messages (home diff flushes, home-migrate
-     * installs) buffer per destination and ship as one CoalescedFrame,
-     * flushed at every request boundary. Must be set before start().
-     */
-    void setCoalescing(bool on);
-
-    /**
      * Arm the adaptive blocking-dequeue support (DSM_BLOCKING_DEQ):
      * every dispatched message bumps the endpoint's activity word so
      * app-level receive polls (Runtime::pollIdle) can park on it
@@ -210,15 +202,6 @@ class Endpoint : public ReplyReceiver
      * always resume to re-poll.
      */
     void waitActivity(std::uint32_t seen, std::uint64_t timeout_ns);
-
-    /**
-     * Ship every buffered coalesced message now (all destinations).
-     * Called at request boundaries: before any blocking call(), before
-     * an idle park, at the end of each service-thread dispatch and at
-     * stop(). A buffered message must never outlive its sender's next
-     * blocking point. No-op when coalescing is off.
-     */
-    void flushCoalesced();
 
     NodeId self() const { return id; }
 
@@ -280,14 +263,6 @@ class Endpoint : public ReplyReceiver
         std::vector<std::byte> replyPayload;
     };
 
-    /** One buffered coalescable message awaiting its frame. */
-    struct CoalescedEntry
-    {
-        MsgType type = MsgType::Invalid;
-        std::uint64_t token = 0;
-        std::vector<std::byte> payload;
-    };
-
     void serviceLoop();
 
     /** Route one drained message (reply fill, dedup, handler). False
@@ -298,15 +273,6 @@ class Endpoint : public ReplyReceiver
      *  (Network::noteDispatched) and bumps activity afterwards on
      *  every path out of here. */
     void dispatchInner(Message &msg);
-
-    /** Unpack a CoalescedFrame into its original handler calls. */
-    void dispatchFrame(Message &msg);
-
-    /** True for message types eligible for send-side coalescing. */
-    static bool coalescable(MsgType type);
-
-    /** Ship destination @p dst's buffered frame (if any). */
-    void flushCoalescedTo(NodeId dst);
 
     /** Fire recoveryCb for peers whose recovery epoch advanced since
      *  we last looked (service thread only). */
@@ -337,15 +303,8 @@ class Endpoint : public ReplyReceiver
     bool faultsOn = false;
     /** Reply-bypass delivery armed (see setReplyBypass). */
     bool bypassOn = true;
-    /** Send-side coalescing armed (see setCoalescing). */
-    bool coalesceOn = false;
     /** Blocking-dequeue activity signalling armed. */
     bool blockingDeqOn = false;
-
-    /** Per-destination coalescing buffers; coalMu serializes the
-     *  app threads and the service thread appending/flushing. */
-    std::mutex coalMu;
-    std::vector<std::vector<CoalescedEntry>> coalesceBufs;
 
     /** Progress epoch for app-level blocking dequeues: bumped on
      *  every dispatched message (and lock release), parked on by

@@ -61,7 +61,8 @@ constexpr std::uint32_t kFrameMagic = 0x314d5344;
 constexpr std::uint16_t kFrameVersion = 1;
 
 /** Hard ceiling on one frame's post-prefix length. Generously above
- *  any legitimate message (pages are KBs, coalesced frames MBs) while
+ *  any legitimate message (pages are KBs; the largest, a migration
+ *  batch, carries one page copy per moved page) while
  *  keeping a corrupt length prefix from turning into a giant
  *  allocation. */
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;

@@ -22,7 +22,6 @@ toString(MsgType type)
       case MsgType::HomePageSnapshotReply:
         return "HomePageSnapshotReply";
       case MsgType::HomeMigrate: return "HomeMigrate";
-      case MsgType::CoalescedFrame: return "CoalescedFrame";
       case MsgType::Shutdown: return "Shutdown";
       default: return "Unknown";
     }

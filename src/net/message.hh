@@ -44,14 +44,11 @@ enum class MsgType : std::uint8_t
                            ///< version-validated snapshot (migration
                            ///< epoch + applied vector + version footer
                            ///< + page copy; no piggybacked records)
-    HomeMigrate,     ///< old home -> everyone: mapping update, plus the
-                     ///< page copy + home state for the new home
+    HomeMigrate,     ///< old home -> every peer: one entry per page of
+                     ///< a migration batch (mapping update, plus the
+                     ///< page copy + home state for its new home)
 
     // Infrastructure.
-    CoalescedFrame, ///< send-side coalescing: several small messages to
-                    ///< one destination framed into a single ring slot
-                    ///< (length-prefixed serde entries; unpacked into
-                    ///< the original handler calls on arrival)
     Shutdown,      ///< cluster teardown of the service loop
 
     NumTypes,

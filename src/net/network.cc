@@ -45,12 +45,12 @@ Network::send(Message &&msg, NodeStats &sender_stats)
     // never pass recv(), so the in-order-per-pair assert never sees
     // them). Guarded by the per-pair outstanding counter: while this
     // sender still has undispatched messages in the destination's
-    // inbox (a HomeMigrate install, a forwarded lock chain, an
-    // earlier coalesced frame), the reply must queue behind them —
-    // the counter was incremented before those pushes, so any
-    // happens-before-ordered reply observes it nonzero until the
-    // receiver's handler finished (noteDispatched's release decrement
-    // pairs with this acquire load). Under fault injection the slot
+    // inbox (a HomeMigrate install, a forwarded lock chain), the
+    // reply must queue behind them — the counter was incremented
+    // before those pushes, so any happens-before-ordered reply
+    // observes it nonzero until the receiver's handler finished
+    // (noteDispatched's release decrement pairs with this acquire
+    // load). Under fault injection the slot
     // additionally refuses occupied tokens, funnelling duplicate
     // retransmitted replies to the service thread's dedup window.
     if (msg.isReply) {

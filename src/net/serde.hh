@@ -142,6 +142,14 @@ class WireReader
         pos += n;
     }
 
+    /** Consume @p n bytes without copying them out. */
+    void
+    skip(std::size_t n)
+    {
+        DSM_ASSERT(pos + n <= data.size(), "wire underrun");
+        pos += n;
+    }
+
     std::vector<std::byte>
     getBlob()
     {

@@ -41,11 +41,6 @@ struct NodeStats
      *  or by an occupied/unregistered reply slot; the reply took the
      *  ordinary inbox path instead. */
     std::uint64_t replyBypassRefusals = 0;
-    /** Same-destination coalescing (DSM_COALESCE): framed batches
-     *  shipped and the small messages folded into them (each frame
-     *  replaces messagesCoalesced ring slots with one). */
-    std::uint64_t coalesceFramesSent = 0;
-    std::uint64_t messagesCoalesced = 0;
     /** Adaptive blocking dequeue (DSM_BLOCKING_DEQ): app-level empty
      *  polls, and the subset that gave up spinning and parked on the
      *  endpoint activity futex. */

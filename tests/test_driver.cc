@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.hh"
 #include "driver/experiment.hh"
 #include "driver/table.hh"
 
@@ -33,6 +34,16 @@ TEST(Config, PaperNames)
 TEST(Config, UnknownNameIsFatal)
 {
     EXPECT_DEATH({ RuntimeConfig::parse("EC-lazy"); }, "unknown");
+}
+
+/** Send coalescing is retired: the field stays only for the benchmark
+ *  in perfbench/, and any value but 0 is refused. */
+TEST(Config, RetiredCoalescingIsRejected)
+{
+    ClusterConfig cc;
+    cc.nprocs = 2;
+    cc.coalesceSends = 1;
+    EXPECT_DEATH({ Cluster cluster(cc); }, "coalescing is retired");
 }
 
 TEST(CostModel, TransitIsAffine)

@@ -7,6 +7,9 @@
  *    request/reply round trip, counter-asserted;
  *  - a deliberately skewed access pattern migrates the home past the
  *    threshold and stays correct before, during and after the move;
+ *  - the pages one dispatch migrates reach each peer as a single
+ *    HomeMigrate batch, and a stale entry inside a batch is skipped
+ *    whole;
  *  - the sharing-policy layer: migrate-to-last-writer follows an
  *    alternating writer chain, the ping-pong cap pins a pathologically
  *    migrating page, and the deferred-flush policy merges a run of
@@ -177,6 +180,119 @@ TEST(HomeLrc, MigratesUnderSkewedAccess)
         EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
     for (int n = 0; n < 4; ++n)
         EXPECT_EQ(lrcOf(cluster, n).diffStoreSize(), 0u);
+}
+
+/** One migration batch per dispatch: node 1 writes four pages homed
+ *  at node 0 without fetching them, so the single flush of its
+ *  interval close is each page's first remote access and, at threshold
+ *  1, all four pages migrate while node 0 handles that flush. Each peer
+ *  gets the whole batch in one HomeMigrate, so node 0 sends exactly
+ *  two messages more than over the same script at threshold 0. The
+ *  new home's copies must equal the run without migration. */
+TEST(HomeLrc, MigrationBatchSendsOneMessagePerPeer)
+{
+    constexpr int kPages = 4;
+    constexpr int kNodes = 3;
+    constexpr int kInts = 256; // one 1024-byte page
+    RunResult result;
+    auto run = [&](std::uint32_t threshold) {
+        ClusterConfig cc = homeConfig(kNodes, threshold);
+        cc.transport = "ring"; // white-box lrcOf() inspection below
+        Cluster cluster(cc);
+        result = cluster.run([&](Runtime &rt) {
+            // Round-robin homes put pages 0, 3, 6 and 9 at node 0.
+            auto a = SharedArray<int>::alloc(rt, kInts * kNodes * kPages,
+                                             4, "batch");
+            rt.barrier(0);
+            if (rt.self() == 1) {
+                for (int p = 0; p < kPages; ++p) {
+                    for (int i = 0; i < kInts; ++i)
+                        a.set((kNodes * p) * kInts + i, 1000 * p + i);
+                }
+            }
+            rt.barrier(1);
+        });
+        EXPECT_EQ(result.perNode[1].accessMisses, 0u)
+            << "the writes must not fetch before the close";
+        std::vector<std::byte> bytes;
+        for (int p = 0; p < kPages; ++p) {
+            const PageId page = static_cast<PageId>(kNodes * p);
+            for (int n = 0; n < kNodes; ++n) {
+                EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(page),
+                          threshold > 0 ? 1 : 0)
+                    << "node " << n << ", page " << page;
+            }
+            const std::byte *src = cluster.memory(1, page * 1024u);
+            bytes.insert(bytes.end(), src, src + 1024);
+        }
+        return bytes;
+    };
+
+    const std::vector<std::byte> static_bytes = run(0);
+    const RunResult stays = result;
+    const std::vector<std::byte> migrated_bytes = run(1);
+    const RunResult moved = result;
+
+    EXPECT_EQ(stays.total.homeMigrations, 0u);
+    EXPECT_EQ(moved.total.homeMigrations,
+              static_cast<std::uint64_t>(kPages));
+    EXPECT_EQ(moved.perNode[0].messagesSent -
+                  stays.perNode[0].messagesSent,
+              static_cast<std::uint64_t>(kNodes - 1))
+        << "one HomeMigrate per peer must carry the whole batch";
+    EXPECT_EQ(migrated_bytes, static_bytes);
+}
+
+/** A stale entry inside a migration batch (an epoch the receiver
+ *  already holds) is skipped, its full payload included, and the
+ *  entries after it still apply. */
+TEST(HomeLrc, StaleBatchEntryIsSkippedWhole)
+{
+    constexpr int kNodes = 3;
+    ClusterConfig cc = homeConfig(kNodes, 0);
+    cc.transport = "ring"; // white-box lrcOf() inspection below
+    Cluster cluster(cc);
+    LrcRuntime &rt = lrcOf(cluster, 1);
+    const auto entry = [](WireWriter &w, PageId page, NodeId home,
+                          std::uint32_t epoch, bool full) {
+        w.putU32(page);
+        w.putU16(static_cast<std::uint16_t>(home));
+        w.putU32(epoch);
+        w.putU8(full ? 1 : 0);
+    };
+    const auto deliver = [&](WireWriter &w) {
+        Message msg;
+        msg.src = 0;
+        msg.dst = 1;
+        msg.type = MsgType::HomeMigrate;
+        msg.payload = w.take();
+        rt.handleMessage(msg);
+    };
+
+    // Node 1 already knows page 0's second migration, to node 2.
+    WireWriter newer;
+    entry(newer, 0, 2, 2, false);
+    deliver(newer);
+    ASSERT_EQ(rt.pageHomeOf(0), 2);
+
+    // The first migration, which named node 1 the new home, is now
+    // stale; a fresh entry for page 3 follows it in the same batch.
+    WireWriter batch;
+    entry(batch, 0, 1, 1, true);
+    VectorTime(kNodes).encode(batch);
+    batch.putU32(1); // one word-sum run: start, length, value
+    batch.putU32(0);
+    batch.putU32(4);
+    batch.putU64(7);
+    const std::vector<std::byte> copy(cc.pageSize, std::byte{0x5a});
+    batch.putBytes(copy.data(), copy.size());
+    entry(batch, 3, 2, 1, false);
+    deliver(batch);
+
+    EXPECT_EQ(rt.pageHomeOf(0), 2);
+    EXPECT_EQ(rt.pageHomeOf(3), 2);
+    EXPECT_EQ(*cluster.memory(1, 0), std::byte{0})
+        << "the stale entry's copy must not be installed";
 }
 
 // ---------------------------------------------------------------------

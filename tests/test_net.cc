@@ -414,71 +414,6 @@ TEST(TinyRing, MpscStressWithBypassArmed)
 }
 
 // ---------------------------------------------------------------------
-// Send-side coalescing: small same-destination one-way messages ride
-// one framed ring slot, flushed at request boundaries.
-
-TEST_F(EndpointTest, CoalescedFrameDeliversAllBeforeRequest)
-{
-    eps[0]->setCoalescing(true);
-    std::vector<MsgType> order;
-    std::mutex orderMu;
-    eps[1]->setHandler([&](Message &msg) {
-        {
-            std::lock_guard<std::mutex> g(orderMu);
-            order.push_back(msg.type);
-        }
-        if (msg.replyToken != 0)
-            eps[1]->reply(msg.src, MsgType::HomePageReply, {},
-                          msg.replyToken);
-    });
-    eps[0]->setHandler([](Message &) {});
-    eps[0]->start();
-    eps[1]->start();
-
-    // Three coalescable one-way sends buffer locally...
-    for (int i = 0; i < 3; ++i)
-        eps[0]->send(1, MsgType::HomeDiffFlush,
-                     std::vector<std::byte>(4));
-    EXPECT_EQ(stats[0].coalesceFramesSent, 0u);
-    // ...and the request boundary flushes them ahead of the call.
-    Message reply = eps[0]->call(1, MsgType::HomePageRequest, {});
-    EXPECT_EQ(reply.type, MsgType::HomePageReply);
-
-    std::lock_guard<std::mutex> g(orderMu);
-    ASSERT_EQ(order.size(), 4u);
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(order[i], MsgType::HomeDiffFlush);
-    EXPECT_EQ(order[3], MsgType::HomePageRequest);
-    EXPECT_EQ(stats[0].coalesceFramesSent, 1u);
-    EXPECT_EQ(stats[0].messagesCoalesced, 3u);
-}
-
-TEST_F(EndpointTest, SingleBufferedMessageShipsUnframed)
-{
-    eps[0]->setCoalescing(true);
-    std::atomic<int> flushes{0};
-    eps[1]->setHandler([&](Message &msg) {
-        if (msg.type == MsgType::HomeDiffFlush)
-            flushes.fetch_add(1);
-        if (msg.replyToken != 0)
-            eps[1]->reply(msg.src, MsgType::HomePageReply, {},
-                          msg.replyToken);
-    });
-    eps[0]->setHandler([](Message &) {});
-    eps[0]->start();
-    eps[1]->start();
-
-    eps[0]->send(1, MsgType::HomeDiffFlush, std::vector<std::byte>(4));
-    Message reply = eps[0]->call(1, MsgType::HomePageRequest, {});
-    EXPECT_EQ(reply.type, MsgType::HomePageReply);
-    EXPECT_EQ(flushes.load(), 1);
-    // A buffer of one skips the frame: no framing overhead, and no
-    // degenerate single-entry CoalescedFrame on the wire.
-    EXPECT_EQ(stats[0].coalesceFramesSent, 0u);
-    EXPECT_EQ(stats[0].messagesCoalesced, 0u);
-}
-
-// ---------------------------------------------------------------------
 // The dedup window's eviction edge. An in-window duplicate of an
 // already-answered request resends the recorded reply without
 // re-running the handler; once kDedupWindow newer requests from the

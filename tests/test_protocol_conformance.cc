@@ -53,13 +53,12 @@ struct ProtocolLeg
      *  leg — including while homes migrate under the reads. */
     bool optRead = false;
     /** Latency-path legs (PR 9): -1 keeps the env sentinel (so the
-     *  DSM_REPLY_BYPASS / DSM_BLOCKING_DEQ / DSM_COALESCE CI sweeps
-     *  flip the whole grid), 0/1 forces the knob for this leg. All
-     *  three change only where wall-clock and wire slots go — any
-     *  byte they move is a conformance failure. */
+     *  DSM_REPLY_BYPASS / DSM_BLOCKING_DEQ CI sweeps flip the whole
+     *  grid), 0/1 forces the knob for this leg. Both change only
+     *  where wall-clock goes — any byte they move is a conformance
+     *  failure. */
     int replyBypass = -1;
     int blockingDeq = -1;
-    int coalesce = -1;
     /** Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT):
      *  reshapes hand-off scheduling, never values. */
     bool adaptFair = false;
@@ -91,11 +90,10 @@ const ProtocolLeg kLegs[] = {
      true},
     // Latency-path legs (PR 9). Reply bypass defaults *on*, so the
     // interesting forced leg is bypass-off (the reference implicitly
-    // covers bypass-on); blocking dequeue, coalescing, and adaptive
-    // fairness default off, so each gets a forced-on leg. Home-based
-    // legs matter most for coalescing (HomeDiffFlush / HomeMigrate are
-    // the only coalescable types) and for the bypass ordering guard
-    // (migrate installs racing bypassed replies).
+    // covers bypass-on); blocking dequeue and adaptive fairness
+    // default off, so each gets a forced-on leg. Home-based legs
+    // matter most for the bypass ordering guard (migrate installs
+    // racing bypassed replies).
     {"EC_nobypass", "EC-diff", false, true, 0, false, false, false, 0},
     {"LRC_home_nobypass", "LRC-diff", true, true, 0, false, false,
      false, 0},
@@ -103,16 +101,10 @@ const ProtocolLeg kLegs[] = {
      -1, 1},
     {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false,
      false, -1, 1},
-    {"LRC_coalesce", "LRC-diff", false, true, 0, false, false, false,
-     -1, -1, 1},
-    {"LRC_home_coalesce", "LRC-diff", true, true, 0, false, false,
-     false, -1, -1, 1},
-    {"LRC_home_coalesce_defer", "LRC-diff", true, true, 0, false, true,
-     false, -1, -1, 1},
     {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, false,
-     -1, -1, -1, true},
+     -1, -1, true},
     {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true,
-     true, 1, 1, 1, true},
+     true, 1, 1, true},
     // The batched miss protocol without cross-page piggybacking, once
     // per collection method.
     {.label = "LRC_nobatch",
@@ -159,7 +151,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
         cc.optimisticHomeReads = 1;
     cc.replyBypass = leg.replyBypass;
     cc.blockingDequeue = leg.blockingDeq;
-    cc.coalesceSends = leg.coalesce;
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;
     cc.batchDiffFetch = leg.batch;

@@ -427,3 +427,21 @@ TEST(SocketCluster, AppExceptionPropagatesFromChildren)
     }),
                  std::runtime_error);
 }
+
+/** A socket run that arms an in-process-only feature moves to the
+ *  ring, and says so once on stderr. */
+TEST(SocketCluster, InProcessOnlyFallbackWarnsOnce)
+{
+    ClusterConfig cc;
+    cc.nprocs = 2;
+    cc.runtime = RuntimeConfig::parse("LRC-diff");
+    cc.transport = "socket";
+    cc.checkpointEvery = 1;
+    testing::internal::CaptureStderr();
+    Cluster cluster(cc);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(cluster.config().transport, "ring");
+    EXPECT_EQ(err,
+              "warn: transport 'socket' falls back to 'ring': "
+              "checkpointing runs in-process only\n");
+}

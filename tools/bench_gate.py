@@ -99,19 +99,6 @@ def gate_net(gate, fresh, baseline, tolerance):
         gate.failures.append(f"net/{key}: missing from fresh results")
     else:
         gate.check(f"net/{key}", fresh[key], baseline[key], tolerance)
-    # The coalescing ablation's wire-message reduction is a modeled
-    # (deterministic) count ratio, not a timing: it is bit-stable
-    # across hosts, so it gets a near-zero tolerance regardless of the
-    # net timing tolerance.
-    key = "coalesce_msg_reduction"
-    if key in baseline:
-        if key not in fresh:
-            gate.failures.append(f"net/{key}: missing from fresh "
-                                 "results")
-        else:
-            gate.check(f"net/{key}", fresh[key], baseline[key], 0.01)
-    else:
-        print(f"  net/{key}: no committed baseline, skipping")
     # ring_p50 / socket_p50 gates the tier-1 frame path: a regression
     # in the codec or the reader-thread handoff inflates the socket
     # round trip and drags this ratio below its floor, while both

@@ -17,7 +17,7 @@ Spec format (all fields except "name" and "command" optional):
       "env":    {"DSM_THREADS": "4"},
       "grid":   {"DSM_HOME_MIG": [4, 5, 6], "iter": [1, 2, 3]},
       "derive": {"DSM_CHAOS_SEED": "day * 100 + DSM_HOME_MIG * 1000 + iter",
-                 "DSM_COALESCE":   "iter % 2"},
+                 "DSM_BLOCKING_DEQ": "iter % 2"},
       "timeout_seconds": 600
     }
 
