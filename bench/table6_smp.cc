@@ -53,8 +53,7 @@ main()
 
     Table table({"Application", "NxT", "EC", "LRC", "LRC-home",
                  "EC msgs", "LRC msgs", "LRCh msgs", "LRC handoffs",
-                 "EC forced", "LRC forced", "LRCh migr",
-                 "LRCh optRd s/r/f"});
+                 "EC forced", "LRC forced", "LRCh migr"});
 
     cc.homeBasedLrc = false;
     for (const std::string &app : allAppNames()) {
@@ -89,15 +88,7 @@ main()
                  // home chased a migratory page.
                  std::to_string(be.run.total.remoteHandoffsForced),
                  std::to_string(bl.run.total.remoteHandoffsForced),
-                 std::to_string(home.run.total.homeMigrations),
-                 // Lock-free snapshot reads served at the homes
-                 // (served/retries/fallbacks; nonzero only with
-                 // DSM_OPT_READ armed).
-                 std::to_string(home.run.total.optReadsServed) + "/" +
-                     std::to_string(home.run.total.optReadRetries) +
-                     "/" +
-                     std::to_string(
-                         home.run.total.optReadFallbacks)});
+                 std::to_string(home.run.total.homeMigrations)});
         }
     }
     table.print();

@@ -54,12 +54,14 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     cfg.homePingPongLimit =
         static_cast<int>(cfg.resolvedHomePingPongLimit());
     cfg.homeFlushDefer = cfg.resolvedHomeFlushDefer() ? 1 : 0;
-    cfg.optimisticHomeReads = cfg.resolvedOptimisticHomeReads() ? 1 : 0;
     // Latency-path knobs (PR 9).
     cfg.replyBypass = cfg.resolvedReplyBypass() ? 1 : 0;
     cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
     DSM_ASSERT(cfg.coalesceSends == 0,
                "send coalescing is retired; coalesceSends must be 0");
+    DSM_ASSERT(cfg.optimisticHomeReads == 0 && cfg.optReadMaxRetries == 3,
+               "optimistic home reads are retired; optimisticHomeReads "
+               "must be 0 and optReadMaxRetries 3");
     cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
     // Transport tier: resolve before the crash-tolerance knobs so the
     // in-process-only fallback sees their resolved values too.
@@ -68,8 +70,6 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     if (!fallback.empty())
         warn("%s", fallback.c_str());
     cfg.socketDir = cfg.resolvedSocketDir();
-    DSM_ASSERT(cfg.optReadMaxRetries >= 0, "bad optReadMaxRetries %d",
-               cfg.optReadMaxRetries);
     // Crash-tolerance knobs, same discipline. Order matters: the kill
     // epoch defaults on the kill node, and checkpointing engages on
     // either a kill or a snapshot directory.

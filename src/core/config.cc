@@ -171,12 +171,6 @@ ClusterConfig::resolvedHomeFlushDefer() const
 }
 
 bool
-ClusterConfig::resolvedOptimisticHomeReads() const
-{
-    return resolveEnvDefault(optimisticHomeReads, "DSM_OPT_READ", 0) != 0;
-}
-
-bool
 ClusterConfig::resolvedReplyBypass() const
 {
     return resolveEnvDefault(replyBypass, "DSM_REPLY_BYPASS", 1) != 0;

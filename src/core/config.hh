@@ -259,26 +259,13 @@ struct ClusterConfig
     int homePingPongLimit = -1;
 
     /**
-     * Optimistic lock-free home reads (FaRM-style version
-     * validation): a read-only access miss asks the home for a
-     * versioned snapshot, and the home's service thread answers it
-     * without acquiring the node's core/home protocol locks — it
-     * seqlock-copies the page against the per-cacheline version
-     * footer maintained by guarded flush application, retrying on a
-     * torn read and falling back to the locked path after
-     * optReadMaxRetries tears (or when the snapshot cannot cover the
-     * requester's needed intervals). The reply carries the home's
-     * migration epoch; a requester whose mapping disagrees rejects
-     * the snapshot and refetches. -1 = DSM_OPT_READ env if set, else
-     * off. Counted by optReadsServed / optReadRetries /
-     * optReadFallbacks. Only meaningful with homeBasedLrc.
+     * Retired optimistic lock-free home reads. Only these defaults are
+     * accepted (Cluster rejects anything else); the fields stay
+     * because the benchmark in perfbench/ assigns every field. Every
+     * home-mode miss reads its page through the locked
+     * HomePageRequest path.
      */
-    int optimisticHomeReads = -1;
-
-    /**
-     * Torn optimistic snapshots tolerated before one request falls
-     * back to the locked home read path.
-     */
+    int optimisticHomeReads = 0;
     int optReadMaxRetries = 3;
 
     /**
@@ -518,9 +505,6 @@ struct ClusterConfig
 
     /** homeFlushDefer with the -1 = "env or off" default. */
     bool resolvedHomeFlushDefer() const;
-
-    /** optimisticHomeReads with the -1 = "env or off" default. */
-    bool resolvedOptimisticHomeReads() const;
 
     /** replyBypass with the -1 = "env or ON" default. */
     bool resolvedReplyBypass() const;

@@ -212,11 +212,14 @@ void
 EcRuntime::doRead(GlobalAddr addr, void *dst, std::size_t size)
 {
     // Update protocol: bound data is made current at acquire time, so
-    // reads never fault and carry no instrumentation. A data-race-free
-    // EC program only reads data whose lock it holds (or that is
-    // barrier-separated from writers), so the bytes cannot change
-    // underneath the copy and no lock is taken — this is the SMP-node
-    // zero-contention read path.
+    // reads never fault and carry no instrumentation. The copy still
+    // holds the shards: a read hold does not exclude a sibling's write
+    // hold on the same lock (LockService::acquire), so on SMP nodes a
+    // sibling's doWrite can store into the bytes being copied.
+    if (size == 0)
+        return;
+    NodeLocks::ShardSpan span(*nl, arena->pageOf(addr),
+                              arena->pageOf(addr + size - 1));
     std::memcpy(dst, arena->at(addr), size);
 }
 

@@ -122,6 +122,11 @@ class LrcRuntime : public Runtime
          * grant-side diff); writers that only ever meet at barriers
          * still learn of each other one interval late, so the knob
          * stays conservative for purely barrier-synchronized apps.
+         * Without the announcement, a granter that had only ever
+         * seen itself write a page kept coalescing engaged and
+         * bridged the requester's concurrent word with a stale local
+         * value; this test pins the clobber:
+         * LrcWriterMask.LockRequestAnnouncementPreventsStaleCoalesce.
          */
         std::uint64_t writerMask = 0;
     };
@@ -204,9 +209,8 @@ class LrcRuntime : public Runtime
                                  const std::vector<BatchPageReq> &fetched);
 
     /** Service an access miss on @p page (app thread; takes and
-     *  releases the protocol locks internally). @p read_only marks a
-     *  load-side miss, eligible for the optimistic snapshot path. */
-    void fetchPage(PageId page, bool read_only = false);
+     *  releases the protocol locks internally). */
+    void fetchPage(PageId page);
 
     /**
      * Fetch dispatch without the trap accounting, deduplicated across
@@ -215,7 +219,7 @@ class LrcRuntime : public Runtime
      * request rounds. Used by fetchPage and the pre-barrier GC
      * validation sweep.
      */
-    void fetchPageData(PageId page, bool read_only = false);
+    void fetchPageData(PageId page);
 
     /** The homeless miss protocol, one per collection method: one
      *  batched request per pending writer, covering the missed page
@@ -226,9 +230,8 @@ class LrcRuntime : public Runtime
 
     /** Home mode: make @p page current with one request/reply against
      *  its home (or, at the home itself, by waiting for the in-flight
-     *  flushes the pending notices announce). Read-only misses may ask
-     *  for a lock-free version-validated snapshot (DSM_OPT_READ). */
-    void fetchFromHome(PageId page, bool read_only = false);
+     *  flushes the pending notices announce). */
+    void fetchFromHome(PageId page);
 
     /**
      * Install a full page copy from the wire (home-page reply or
@@ -240,7 +243,7 @@ class LrcRuntime : public Runtime
 
     /** Ensure @p page is present (fetch on access==None). Returns with
      *  the node mutex *released*. */
-    void ensurePresent(PageId page, bool read_only = false);
+    void ensurePresent(PageId page);
 
     // Wire helpers.
     static void encodeRecord(WireWriter &w, const IntervalRec &rec);
@@ -270,19 +273,6 @@ class LrcRuntime : public Runtime
     /** Install one full HomeMigrate entry: we are @p page's new home.
      *  Mutex held. */
     void installMigratedHome(PageId page, WireReader &r);
-
-    /**
-     * Optimistic read-only page service: answer a snapshot-eligible
-     * HomePageRequest without taking the home core lock. Runs on the
-     * service thread (the sole writer of the home mapping, so the
-     * isHome/epoch reads need no lock); copies the page under the
-     * per-line seqlock footer, retrying torn lines up to the
-     * configured budget. Returns true when a HomePageSnapshotReply
-     * was sent; false means the caller must fall back to the locked
-     * path.
-     */
-    bool tryServeSnapshot(NodeId origin, std::uint64_t token,
-                          PageId page, const VectorTime &need);
 
     /** Reply to a page request with the home's full copy (plus the
      *  records the origin lacks, per @p req_log). Mutex held. */
@@ -427,13 +417,6 @@ class LrcRuntime : public Runtime
 
     // Home-based state (unused in homeless mode).
     PageHomeTable homes;
-    /** Resolved DSM_OPT_READ: serve read-only misses from lock-free
-     *  version-validated snapshots (home mode only). */
-    bool optRead = false;
-    /** Retry budget shared by the server-side seqlock copy loop and
-     *  the client-side epoch-reject loop before falling back to the
-     *  locked path. */
-    int optReadRetryBudget = 3;
     /**
      * Homeless diff mode with gap coalescing on: piggyback this
      * node's written-page history on every lock request so the

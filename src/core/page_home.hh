@@ -25,10 +25,7 @@
 #ifndef DSM_CORE_PAGE_HOME_HH
 #define DSM_CORE_PAGE_HOME_HH
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -37,94 +34,6 @@
 #include "util/types.hh"
 
 namespace dsm {
-
-/** Cacheline granularity of the optimistic-read version footer. */
-inline constexpr std::uint32_t kOptLineBytes = 64;
-
-#if defined(__SANITIZE_THREAD__)
-#define DSM_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DSM_TSAN_BUILD 1
-#endif
-#endif
-#ifndef DSM_TSAN_BUILD
-#define DSM_TSAN_BUILD 0
-#endif
-
-/**
- * Relaxed atomic copy into memory an optimistic snapshot may read
- * concurrently. Plain stores racing the snapshot's atomic loads would
- * be a data race (and a TSan report) even when the seqlock later
- * discards the torn copy, so every writer of snapshot-visible page
- * bytes uses this when optimistic home reads are enabled. The bulk
- * runs in 8-byte lanes (torn 8-byte boundaries are no worse than torn
- * byte boundaries — the version recheck discards them either way);
- * unaligned head/tail bytes fall back to byte lanes. Alignment is
- * taken from the shared side (dst here, src in the read counterpart),
- * which is what the concurrent accessor also aligns on.
- *
- * Outside TSan builds the copy compiles to plain memcpy, the usual
- * seqlock treatment (Linux, Abseil, FaRM): a racing copy is torn
- * either way and only ever discarded by the version recheck, so the
- * atomic lanes buy nothing but the sanitizer annotation — and memcpy
- * vectorizes where a loop of relaxed atomic_ref ops cannot.
- */
-inline void
-optAtomicWriteBytes(std::byte *dst, const std::byte *src, std::size_t n)
-{
-#if !DSM_TSAN_BUILD
-    std::memcpy(dst, src, n);
-#else
-    std::size_t i = 0;
-    while (i < n &&
-           (reinterpret_cast<std::uintptr_t>(dst + i) & 7) != 0) {
-        std::atomic_ref<std::byte>(dst[i]).store(
-            src[i], std::memory_order_relaxed);
-        ++i;
-    }
-    for (; i + 8 <= n; i += 8) {
-        std::uint64_t v;
-        std::memcpy(&v, src + i, 8);
-        std::atomic_ref<std::uint64_t>(
-            *reinterpret_cast<std::uint64_t *>(dst + i))
-            .store(v, std::memory_order_relaxed);
-    }
-    for (; i < n; ++i) {
-        std::atomic_ref<std::byte>(dst[i]).store(
-            src[i], std::memory_order_relaxed);
-    }
-#endif
-}
-
-/** Counterpart of optAtomicWriteBytes: the snapshot's copy loop. */
-inline void
-optAtomicReadBytes(std::byte *dst, const std::byte *src, std::size_t n)
-{
-#if !DSM_TSAN_BUILD
-    std::memcpy(dst, src, n);
-#else
-    // atomic_ref over const T is C++26; the loads do not mutate.
-    std::byte *s = const_cast<std::byte *>(src);
-    std::size_t i = 0;
-    while (i < n && (reinterpret_cast<std::uintptr_t>(s + i) & 7) != 0) {
-        dst[i] =
-            std::atomic_ref<std::byte>(s[i]).load(std::memory_order_relaxed);
-        ++i;
-    }
-    for (; i + 8 <= n; i += 8) {
-        const std::uint64_t v =
-            std::atomic_ref<std::uint64_t>(
-                *reinterpret_cast<std::uint64_t *>(s + i))
-                .load(std::memory_order_relaxed);
-        std::memcpy(dst + i, &v, 8);
-    }
-    for (; i < n; ++i) {
-        dst[i] =
-            std::atomic_ref<std::byte>(s[i]).load(std::memory_order_relaxed);
-    }
-#endif
-}
 
 class PageHomeTable
 {
@@ -149,24 +58,19 @@ class PageHomeTable
      *        migration epoch reaches this limit, further migrations
      *        are suppressed and the page is pinned at its current
      *        home (0 = no cap).
-     * @param npages Pages of the shared arena; sizes the lock-free
-     *        snapshot index for optimistic home reads (0 disables the
-     *        index — snapshotState() then always misses).
      */
     PageHomeTable(int nprocs, NodeId self,
                   std::uint32_t migrate_threshold,
                   std::uint32_t decay_window = 0,
                   bool last_writer_policy = false,
                   std::uint32_t switch_threshold = 3,
-                  std::uint32_t ping_pong_limit = 0,
-                  std::size_t npages = 0)
+                  std::uint32_t ping_pong_limit = 0)
         : nprocs_(nprocs), self_(self),
           migrateThreshold(migrate_threshold),
           decayWindow(decay_window),
           lastWriterPolicy(last_writer_policy),
           switchThreshold(switch_threshold),
-          pingPongLimit(ping_pong_limit),
-          snapshotIndex(npages)
+          pingPongLimit(ping_pong_limit)
     {}
 
     /** Current home of @p page: round-robin unless migrated. */
@@ -229,30 +133,6 @@ class PageHomeTable
          *  policy (single writer per interval by construction: each
          *  flush is one writer's interval). */
         std::uint32_t writerSwitches = 0;
-        /**
-         * Optimistic-read version footer: one seqlock word per
-         * kOptLineBytes cacheline of the page. Guarded flush
-         * application brackets its stores with an odd/even bump of
-         * every touched line, so a lock-free snapshot that reads all
-         * lines even and unchanged across its copy observed no
-         * mid-flight flush (the FaRM consistency argument). Version
-         * words are not checkpointed: a restore rebuilds them zeroed
-         * (all even), which only widens the first post-restore
-         * snapshot's view of "unchanged".
-         */
-        std::unique_ptr<std::atomic<std::uint32_t>[]> lineVersions;
-        std::uint32_t numLines = 0;
-
-        void
-        sizeLineVersions(std::uint32_t page_words)
-        {
-            numLines = (page_words * Diff::kWordBytes + kOptLineBytes -
-                        1) / kOptLineBytes;
-            lineVersions =
-                std::make_unique<std::atomic<std::uint32_t>[]>(numLines);
-            for (std::uint32_t l = 0; l < numLines; ++l)
-                lineVersions[l].store(0, std::memory_order_relaxed);
-        }
     };
 
     /** State of a locally homed @p page, created on first use with
@@ -265,12 +145,6 @@ class PageHomeTable
             it->second.appliedVt = VectorTime(nprocs_);
             it->second.wordSums.assign(page_words, 0);
             it->second.accessCounts.assign(nprocs_, 0);
-            it->second.sizeLineVersions(page_words);
-            // Publish only after the fields above are sized: the
-            // service thread reads through the index without the home
-            // lock (map nodes are pointer-stable, so a concurrent
-            // rehash by another inserter cannot move the state).
-            publishState(page, &it->second);
         }
         return it->second;
     }
@@ -282,25 +156,10 @@ class PageHomeTable
         return it == states.end() ? nullptr : &it->second;
     }
 
-    /**
-     * Lock-free lookup for the optimistic snapshot path (service
-     * thread only; insertions by application threads holding the
-     * protocol locks publish through the same atomic slot). Null when
-     * the page has no local home state or the index is unsized.
-     */
-    HomeState *
-    snapshotState(PageId page)
-    {
-        if (page >= snapshotIndex.size())
-            return nullptr;
-        return snapshotIndex[page].load(std::memory_order_acquire);
-    }
-
     /** Forget the home-side state after migrating @p page away. */
     void
     drop(PageId page)
     {
-        publishState(page, nullptr);
         states.erase(page);
     }
 
@@ -379,19 +238,11 @@ class PageHomeTable
      *  policy knobs (they come from configuration, not the wire). */
     void clearForRecovery()
     {
-        for (auto &slot : snapshotIndex)
-            slot.store(nullptr, std::memory_order_relaxed);
         overrides.clear();
         states.clear();
     }
 
   private:
-    void
-    publishState(PageId page, HomeState *hs)
-    {
-        if (page < snapshotIndex.size())
-            snapshotIndex[page].store(hs, std::memory_order_release);
-    }
     struct Mapping
     {
         NodeId home = 0;
@@ -407,9 +258,6 @@ class PageHomeTable
     std::uint32_t pingPongLimit = 0;
     std::unordered_map<PageId, Mapping> overrides;
     std::unordered_map<PageId, HomeState> states;
-    /** page -> its HomeState, atomically published for the lock-free
-     *  snapshot path (empty when the table was sized without pages). */
-    std::vector<std::atomic<HomeState *>> snapshotIndex;
 };
 
 /**
@@ -433,19 +281,12 @@ class PageHomeTable
  *        own pre-migration flushes chase the home role back to it —
  *        overwriting would erase the local write from both copies and
  *        from the next diff).
- * @param line_versions When non-null, the page's optimistic-read
- *        version footer (HomeState::lineVersions): every run's stores
- *        are bracketed by an odd/even seqlock bump of the touched
- *        lines and the data bytes are written with relaxed atomic
- *        stores, so a concurrent lock-free snapshot either validates
- *        a consistent copy or detects the tear and retries.
  * @return Number of words written.
  */
 std::uint64_t
 applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
                  const Diff &diff, std::uint64_t vt_sum,
-                 NodeStats *stats = nullptr, std::byte *shadow = nullptr,
-                 std::atomic<std::uint32_t> *line_versions = nullptr);
+                 NodeStats *stats = nullptr, std::byte *shadow = nullptr);
 
 /**
  * Raise @p word_sums to @p vt_sum for every word of @p len bytes that

@@ -19,8 +19,6 @@ toString(MsgType type)
       case MsgType::HomeDiffFlush: return "HomeDiffFlush";
       case MsgType::HomePageRequest: return "HomePageRequest";
       case MsgType::HomePageReply: return "HomePageReply";
-      case MsgType::HomePageSnapshotReply:
-        return "HomePageSnapshotReply";
       case MsgType::HomeMigrate: return "HomeMigrate";
       case MsgType::Shutdown: return "Shutdown";
       default: return "Unknown";

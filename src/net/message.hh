@@ -40,10 +40,6 @@ enum class MsgType : std::uint8_t
     HomeDiffFlush,   ///< writer -> home: diffs of one closed interval
     HomePageRequest, ///< faulting node -> home (forwarded on stale maps)
     HomePageReply,   ///< home -> faulting node: full up-to-date copy
-    HomePageSnapshotReply, ///< home -> faulting node: lock-free
-                           ///< version-validated snapshot (migration
-                           ///< epoch + applied vector + version footer
-                           ///< + page copy; no piggybacked records)
     HomeMigrate,     ///< old home -> every peer: one entry per page of
                      ///< a migration batch (mapping update, plus the
                      ///< page copy + home state for its new home)

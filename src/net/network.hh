@@ -122,7 +122,8 @@ class Network final : public Transport
      * handler). This pins the network's in-order-per-pair guarantee
      * across the two delivery paths: a bypassed reply can never
      * overtake an earlier HomeMigrate install or LockForward-chain
-     * message from the same sender still sitting in the ring.
+     * message from the same sender still sitting in the ring (the
+     * EndpointTest *NeverOvertakes* choreographies pin both).
      */
     void setReplyReceiver(NodeId node, ReplyReceiver *receiver) override;
 

@@ -58,9 +58,6 @@ forEachField(Stats &s, Fn fn)
     fn("lastWriterMigrations", s.lastWriterMigrations);
     fn("homeMigrationsSuppressed", s.homeMigrationsSuppressed);
     fn("homeFlushesDeferred", s.homeFlushesDeferred);
-    fn("optReadsServed", s.optReadsServed);
-    fn("optReadRetries", s.optReadRetries);
-    fn("optReadFallbacks", s.optReadFallbacks);
     fn("gcRounds", s.gcRounds);
     fn("gcRecordsReclaimed", s.gcRecordsReclaimed);
     fn("gcDiffsReclaimed", s.gcDiffsReclaimed);

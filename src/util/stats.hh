@@ -122,19 +122,6 @@ struct NodeStats
      *  into an already-pending deferred flush — each is one
      *  HomeDiffFlush message that never went on the wire. */
     std::uint64_t homeFlushesDeferred = 0;
-    /** Optimistic home reads: read-only page requests the home's
-     *  service thread answered with a version-validated snapshot,
-     *  without taking the core/home protocol locks. */
-    std::uint64_t optReadsServed = 0;
-    /** Torn optimistic snapshot attempts (a guarded flush application
-     *  raced the copy; the seqlock re-read caught it and the copy was
-     *  retried). */
-    std::uint64_t optReadRetries = 0;
-    /** Optimistic reads that fell back to the locked path: the retry
-     *  budget ran out, the snapshot could not cover the requester's
-     *  needed intervals, or the requester rejected the reply's
-     *  migration-epoch stamp. */
-    std::uint64_t optReadFallbacks = 0;
 
     // Barrier-time interval/diff garbage collection.
     std::uint64_t gcRounds = 0;

@@ -46,6 +46,20 @@ TEST(Config, RetiredCoalescingIsRejected)
     EXPECT_DEATH({ Cluster cluster(cc); }, "coalescing is retired");
 }
 
+/** Optimistic home reads are retired the same way: only the defaults
+ *  of both fields are accepted. */
+TEST(Config, RetiredOptimisticReadsAreRejected)
+{
+    ClusterConfig on;
+    on.nprocs = 2;
+    on.optimisticHomeReads = 1;
+    EXPECT_DEATH({ Cluster cluster(on); }, "home reads are retired");
+    ClusterConfig budget;
+    budget.nprocs = 2;
+    budget.optReadMaxRetries = 0;
+    EXPECT_DEATH({ Cluster cluster(budget); }, "home reads are retired");
+}
+
 TEST(CostModel, TransitIsAffine)
 {
     CostModel cm;

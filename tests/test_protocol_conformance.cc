@@ -48,10 +48,6 @@ struct ProtocolLeg
     int fairness = 0;
     bool lastWriter = false;
     bool deferFlush = false;
-    /** Optimistic lock-free home reads (DSM_OPT_READ): snapshots must
-     *  be invisible in the final state — bit-identical to every other
-     *  leg — including while homes migrate under the reads. */
-    bool optRead = false;
     /** Latency-path legs (PR 9): -1 keeps the env sentinel (so the
      *  DSM_REPLY_BYPASS / DSM_BLOCKING_DEQ CI sweeps flip the whole
      *  grid), 0/1 forces the knob for this leg. Both change only
@@ -82,29 +78,21 @@ const ProtocolLeg kLegs[] = {
     {"LRC_home_lastwriter", "LRC-diff", true, true, 0, true},
     {"LRC_home_defer", "LRC-diff", true, true, 0, false, true},
     {"LRC_home_allpolicies", "LRC-diff", true, true, 4, true, true},
-    // Optimistic-read legs (PR 7): the version-validated snapshot
-    // fast path alone, and combined with the migration-heavy
-    // last-writer policy (epoch rejects + migration races).
-    {"LRC_home_optread", "LRC-diff", true, true, 0, false, false, true},
-    {"LRC_home_optread_migrate", "LRC-diff", true, true, 0, true, false,
-     true},
     // Latency-path legs (PR 9). Reply bypass defaults *on*, so the
     // interesting forced leg is bypass-off (the reference implicitly
     // covers bypass-on); blocking dequeue and adaptive fairness
     // default off, so each gets a forced-on leg. Home-based legs
     // matter most for the bypass ordering guard (migrate installs
     // racing bypassed replies).
-    {"EC_nobypass", "EC-diff", false, true, 0, false, false, false, 0},
-    {"LRC_home_nobypass", "LRC-diff", true, true, 0, false, false,
-     false, 0},
-    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, false,
-     -1, 1},
+    {"EC_nobypass", "EC-diff", false, true, 0, false, false, 0},
+    {"LRC_home_nobypass", "LRC-diff", true, true, 0, false, false, 0},
+    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, -1, 1},
     {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false,
-     false, -1, 1},
-    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, false,
-     -1, -1, true},
-    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true,
-     true, 1, 1, true},
+     -1, 1},
+    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, -1,
+     -1, true},
+    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true, 1,
+     1, true},
     // The batched miss protocol without cross-page piggybacking, once
     // per collection method.
     {.label = "LRC_nobatch",
@@ -145,10 +133,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.lockLocalHandoffBound = leg.fairness;
     cc.homeMigrateLastWriter = leg.lastWriter ? 1 : 0;
     cc.homeFlushDefer = leg.deferFlush ? 1 : 0;
-    // Force-on for the optread legs; everything else keeps the -1
-    // sentinel so a DSM_OPT_READ=1 CI sweep turns the whole grid on.
-    if (leg.optRead)
-        cc.optimisticHomeReads = 1;
     cc.replyBypass = leg.replyBypass;
     cc.blockingDequeue = leg.blockingDeq;
     if (leg.adaptFair)

@@ -9,6 +9,9 @@
  *  - Same-node concurrent writers: one twin per (page, interval)
  *    regardless of how many sibling threads store to the page, and no
  *    write is lost.
+ *  - An EC read hold does not exclude a sibling's write hold, so the
+ *    read copy is ordered against the sibling's stores by the memory
+ *    shards: each copy sees one whole store.
  *  - T=1 parity: with threadsPerNode == 1 (and the satellite policy
  *    knobs pinned to their legacy values) the deterministic protocol
  *    counters of the barrier-separated apps are bit-identical to the
@@ -21,12 +24,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
@@ -260,6 +265,78 @@ TEST(SmpNodes, SiblingWritersShareOneTwin)
         reinterpret_cast<const int *>(cluster.memory(0, 0));
     for (int i = 0; i < kWords; ++i)
         ASSERT_EQ(got[i], 1001 + i) << "word " << i;
+}
+
+// ---------------------------------------------------------------------
+// EC reads under a read hold vs a sibling's stores under the write
+// hold (the pattern of SOR's boundary rows).
+
+TEST(SmpNodes, EcReadHoldCopiesWholeSiblingStores)
+{
+    // One node, two threads, one bound range. Thread 1 takes the read
+    // hold first; thread 0's write acquire does not wait on it
+    // (LockService::acquire), so both hold lock 3 at once. Thread 0
+    // then rewrites the whole range with generation g in one bulk
+    // store per g while thread 1 copies it in one bulk load per
+    // round. The shards serialize the two copies, so every load sees
+    // a single generation.
+    ClusterConfig cc;
+    cc.nprocs = 1;
+    cc.threadsPerNode = 2;
+    cc.arenaBytes = 1u << 20;
+    cc.pageSize = 1024;
+    cc.runtime = RuntimeConfig::parse("EC-diff");
+    // The choreography uses captured host atomics: one address space.
+    cc.transport = "ring";
+    Cluster cluster(cc);
+
+    constexpr int kInts = 256;
+    constexpr int kGens = 2000;
+    std::atomic<bool> readerIn{false};
+    std::atomic<bool> writerDone{false};
+    std::atomic<int> loads{0};
+    std::atomic<int> torn{0};
+    cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, kInts, 4, "row");
+        rt.bindLock(3, {a.wholeRange()});
+        rt.barrier(0);
+        if (rt.threadId() == 1) {
+            rt.acquire(3, AccessMode::Read);
+            readerIn.store(true);
+            std::vector<int> got(kInts);
+            do {
+                a.load(0, got.data(), kInts);
+                for (int v : got) {
+                    if (v != got[0]) {
+                        torn.fetch_add(1);
+                        break;
+                    }
+                }
+                loads.fetch_add(1);
+            } while (!writerDone.load());
+            rt.release(3);
+        } else {
+            while (!readerIn.load())
+                std::this_thread::yield();
+            rt.acquire(3, AccessMode::Write);
+            std::vector<int> gen(kInts);
+            for (int g = 1; g <= kGens; ++g) {
+                std::fill(gen.begin(), gen.end(), g);
+                a.store(0, gen.data(), kInts);
+            }
+            writerDone.store(true);
+            rt.release(3);
+        }
+        rt.barrier(1);
+    });
+
+    EXPECT_GT(loads.load(), 0);
+    EXPECT_EQ(torn.load(), 0)
+        << "a read copy mixed two of the sibling's stores";
+    const int *got =
+        reinterpret_cast<const int *>(cluster.memory(0, 0));
+    for (int i = 0; i < kInts; ++i)
+        ASSERT_EQ(got[i], kGens) << "word " << i;
 }
 
 // ---------------------------------------------------------------------

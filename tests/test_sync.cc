@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "net/network.hh"
@@ -418,39 +419,57 @@ TEST(AdaptiveFairness, SeedsGrowsAndShrinks)
         EXPECT_EQ(app.fairnessBoundShrinks, 0u);
     }
 
-    // Phase 2 — shrink, on a fresh lock still at the seed bound of 4:
-    // a node-1 contender repeatedly queues at the owner while the
-    // node-0 pair keeps hand-offs running. Whenever four consecutive
-    // hand-offs run with the remote queued, the forced grant halves
-    // the bound.
+    // Phase 2 — shrink, on a fresh lock still at the seed bound of 4,
+    // driven in lockstep so no schedule can change the outcome.
+    // Node-0 thread 0 takes grant 1; node 1's request then queues at
+    // the owner, and only after that does thread 1 start. Each holder
+    // of grants 1-4 releases only once its sibling is parked, and
+    // re-acquires only after the sibling took the lock. So grants 1-4
+    // are local hand-offs with the remote queued throughout, and the
+    // release of grant 4 must force the remote grant (halving the
+    // bound to 2). Thread 0's parked acquire then goes through the
+    // manager, and its network grant restarts the run without growth.
     {
-        std::vector<std::thread> ts;
-        for (int tid = 0; tid < 2; ++tid) {
-            ts.push_back(worker(0, tid, [&] {
-                for (int k = 0; k < 300; ++k) {
-                    locks0.acquire(2, AccessMode::Write);
-                    std::this_thread::yield();
-                    locks0.release(2);
-                }
-            }));
-        }
-        ts.push_back(worker(1, 0, [&] {
-            for (int k = 0; k < 30; ++k) {
-                locks1.acquire(2, AccessMode::Write);
-                locks1.release(2);
-            }
-        }));
-        for (auto &t : ts)
-            t.join();
+        std::atomic<int> granted{0};
+        const auto waitUntil = [](auto ready) {
+            while (!ready())
+                std::this_thread::yield();
+        };
+        const auto localGrant = [&](int n) {
+            locks0.acquire(2, AccessMode::Write);
+            granted.store(n);
+            waitUntil([&] { return locks0.localWaiterCount(2) == 1; });
+            locks0.release(2);
+        };
+        std::thread t0 = worker(0, 0, [&] {
+            localGrant(1);
+            waitUntil([&] { return granted.load() == 2; });
+            localGrant(3);
+            waitUntil([&] { return granted.load() == 4; });
+            locks0.acquire(2, AccessMode::Write);
+            locks0.release(2);
+        });
+        waitUntil([&] { return granted.load() == 1; });
+        std::thread remote = worker(1, 0, [&] {
+            locks1.acquire(2, AccessMode::Write);
+            locks1.release(2);
+        });
+        waitUntil([&] { return locks0.pendingRemoteCount(2) == 1; });
+        std::thread t1 = worker(0, 1, [&] {
+            localGrant(2);
+            waitUntil([&] { return granted.load() == 3; });
+            localGrant(4);
+        });
+        t0.join();
+        t1.join();
+        remote.join();
     }
     {
         std::lock_guard<std::mutex> g(appMu);
-        EXPECT_GE(app.fairnessBoundShrinks, 1u);
-        EXPECT_GE(app.remoteHandoffsForced, 1u);
+        EXPECT_EQ(app.fairnessBoundShrinks, 1u);
+        EXPECT_EQ(app.remoteHandoffsForced, 1u);
     }
-    const std::uint32_t settled = locks0.currentFairnessBound(2);
-    EXPECT_GE(settled, 1u);
-    EXPECT_LE(settled, 64u);
+    EXPECT_EQ(locks0.currentFairnessBound(2), 2u);
 
     ep0.stop();
     ep1.stop();

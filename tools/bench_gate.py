@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bench-regression gate: compare freshly produced BENCH_diff.json /
-BENCH_net.json / BENCH_homeread.json against the committed baselines
-and fail on regression.
+BENCH_net.json / BENCH_ckpt.json against the committed baselines and
+fail on regression.
 
 The gated metrics are *ratios* (speedup of one kernel over another on
 the same host), not absolute throughput: absolutes vary wildly between
@@ -121,28 +121,6 @@ def gate_net(gate, fresh, baseline, tolerance):
                   "(not gated: absolute latency)")
 
 
-def gate_homeread(gate, fresh, baseline, tolerance):
-    print("BENCH_homeread.json (optimistic home-read fan-in ratio):")
-    key = "optread_speedup"
-    if key not in baseline:
-        print(f"  homeread/{key}: no committed baseline, skipping")
-        return
-    if key not in fresh:
-        gate.failures.append(f"homeread/{key}: missing from fresh "
-                             "results")
-        return
-    gate.check(f"homeread/{key}", fresh[key], baseline[key], tolerance)
-    # The ratio is meaningless if the fast path never actually served:
-    # a wiring regression that silently falls back to the locked path
-    # would otherwise gate at ~1.0 vs ~1.0 and pass.
-    served = fresh.get("opt_reads_served", 0)
-    if served <= 0:
-        gate.failures.append("homeread/opt_reads_served: fast path "
-                             "served 0 reads in the fresh run")
-    else:
-        print(f"        info  homeread/opt_reads_served: {served}")
-
-
 def gate_ckpt(gate, fresh, baseline, tolerance):
     print("BENCH_ckpt.json (incremental-checkpoint reduction ratio):")
     key = "delta_reduction"
@@ -191,8 +169,6 @@ def main():
     for fname, fn, tol in (
             ("BENCH_diff.json", gate_diff, args.tolerance),
             ("BENCH_net.json", gate_net, args.net_tolerance),
-            ("BENCH_homeread.json", gate_homeread,
-             args.net_tolerance),
             ("BENCH_ckpt.json", gate_ckpt, args.tolerance)):
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
