@@ -47,18 +47,15 @@ benchCluster()
         cc.batchDiffFetch = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_GC"))
         cc.gcAtBarriers = std::atoi(v) != 0;
-    if (const char *v = std::getenv("DSM_WIDE_SCAN"))
-        cc.wideDiffScan = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_POOL"))
         cc.pooledBuffers = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_DIFF_GAP"))
         cc.diffGapWords = static_cast<std::uint32_t>(std::atoi(v));
     if (const char *v = std::getenv("DSM_NOTICE"))
         cc.piggybackWriteNotices = std::atoi(v) != 0;
-    // DSM_SIMD=0 and DSM_WIDE_SCAN=0 are additionally read by the
-    // scan-kernel dispatch itself (mem/wide_scan.cc): they pin the
-    // wide fallback / the seed scalar loop process-wide, so ctest
-    // legs cover the fallback tiers without going through this file.
+    // DSM_SIMD=0 and DSM_WIDE_SCAN=0 are read by the scan-kernel
+    // dispatch itself (mem/wide_scan.cc): they pin the wide fallback /
+    // the seed scalar loop process-wide.
     // Home-based LRC (LRC-diff only; timestamping stays homeless).
     if (const char *v = std::getenv("DSM_HOME"))
         cc.homeBasedLrc = std::atoi(v) != 0;
@@ -70,37 +67,21 @@ benchCluster()
     if (const char *v = std::getenv("DSM_HOME_DECAY"))
         cc.homeDecayWindow = static_cast<std::uint32_t>(std::atoi(v));
     // Sharing-policy knobs (DSM_LOCK_FAIRNESS, DSM_HOME_LAST_WRITER,
-    // DSM_HOME_PINGPONG, DSM_HOME_DEFER) stay at their -1 sentinels
-    // here: Cluster resolves them from the environment itself, so any
-    // table bench runs at any policy point without recompiling. The
-    // classifier's switch threshold has no env knob and can be pinned
-    // here if a sweep needs it.
+    // DSM_HOME_PINGPONG, DSM_HOME_DEFER) stay unset here: Cluster
+    // resolves them from the environment itself, so any table bench
+    // runs at any policy point without recompiling. The classifier's
+    // switch threshold has no env knob and can be pinned here if a
+    // sweep needs it.
     return cc;
 }
 
-/** Human-readable policy point for bench headers: the sharing-policy
- *  knobs as Cluster will resolve them for @p cc. */
-inline std::string
-policyLine(const ClusterConfig &cc)
-{
-    std::string s = "fairness k=" +
-                    std::to_string(cc.resolvedLockFairness());
-    s += cc.resolvedHomeLastWriter() ? ", migrate-to-last-writer"
-                                     : ", migrate-on-access-count";
-    s += ", ping-pong cap " +
-         std::to_string(cc.resolvedHomePingPongLimit());
-    s += cc.resolvedHomeFlushDefer() ? ", deferred flushes"
-                                     : ", eager flushes";
-    return s;
-}
-
+/** Bench header: the title and @p cc as Cluster will resolve it (the
+ *  one-line JSON record of every knob). */
 inline void
 printHeader(const char *title, const ClusterConfig &cc)
 {
     std::printf("=== %s ===\n", title);
-    std::printf("%d nodes, %zu-byte pages, %s\n", cc.nprocs, cc.pageSize,
-                cc.cost.toString().c_str());
-    std::printf("sharing policies: %s\n", policyLine(cc).c_str());
+    std::printf("config: %s\n", cc.resolved().toJson().c_str());
     std::printf("(set DSM_SCALE=test|bench|paper to change workload "
                 "sizes)\n\n");
 }

@@ -40,12 +40,12 @@ struct Cell
     /** Ping-pong cap for the last-writer cells (-1 = resolved
      *  default). */
     int pingPong = -1;
-    /** Latency-path knobs (PR 9): -1 keeps the env-resolved default,
-     *  0/1 forces. Blocking dequeue replaces the task-queue poll's
-     *  hot spin with a futex park; adaptive fairness lets each lock
-     *  find its own hand-off bound. */
+    /** Latency-path knobs (PR 9): blockingDeq -1 keeps the
+     *  env-resolved default, 0/1 forces. Blocking dequeue replaces the
+     *  task-queue poll's hot spin with a futex park; adaptive fairness
+     *  (off by default) lets each lock find its own hand-off bound. */
     int blockingDeq = -1;
-    int adaptFair = -1;
+    int adaptFair = 0;
 };
 
 struct Spread
@@ -135,7 +135,7 @@ main()
 
     const std::string topo =
         std::to_string(base.nprocs) + "x" +
-        std::to_string(base.resolvedThreadsPerNode());
+        std::to_string(base.resolved().threadsPerNode);
     for (const Cell &cell : cells) {
         std::vector<double> times, msgs;
         std::uint64_t forced = 0, migrations = 0, suppressed = 0,

@@ -60,7 +60,7 @@ main()
         };
         const std::string topo =
             std::to_string(cc.nprocs) + "x" +
-            std::to_string(cc.resolvedThreadsPerNode());
+            std::to_string(cc.resolved().threadsPerNode);
         std::vector<std::string> row = {
             app, topo, fmtSeconds(be.seqSeconds(cc.cost)),
             fmtSeconds(be.execSeconds()), fmtSeconds(bl.execSeconds()),

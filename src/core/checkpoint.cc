@@ -17,23 +17,22 @@
 namespace dsm {
 
 CheckpointCoordinator::CheckpointCoordinator(
-    NodeId self, int threads_per_node, Options options, Network &network,
-    Endpoint &endpoint, LockService &lock_service,
-    BarrierService &barrier_service)
-    : id(self), threadsPerNode(threads_per_node), opts(std::move(options)),
-      net(network), ep(endpoint), locks(lock_service),
-      barriers(barrier_service)
+    NodeId self, const ClusterConfig &config, FaultInjector *fault_injector,
+    FailureDetector *failure_detector, Network &network, Endpoint &endpoint,
+    LockService &lock_service, BarrierService &barrier_service)
+    : id(self), cfg(config), injector(fault_injector),
+      detector(failure_detector), net(network), ep(endpoint),
+      locks(lock_service), barriers(barrier_service)
 {
-    DSM_ASSERT(opts.every >= 1, "checkpoint interval %u", opts.every);
-    DSM_ASSERT(threadsPerNode >= 1, "bad threadsPerNode %d",
-               threads_per_node);
+    DSM_ASSERT(cfg.checkpointEvery >= 1, "checkpoint interval %d",
+               cfg.checkpointEvery);
 }
 
 void
 CheckpointCoordinator::atBarrier(Runtime &rt, BarrierId)
 {
     std::unique_lock<std::mutex> g(mu);
-    if (++arrived < threadsPerNode) {
+    if (++arrived < cfg.threadsPerNode) {
         // Not the node's last thread: park until the leader finishes
         // the whole stop/snapshot/[restore]/restart sequence. The
         // rendezvous is what guarantees no sibling is mid-access or
@@ -43,7 +42,7 @@ CheckpointCoordinator::atBarrier(Runtime &rt, BarrierId)
         return;
     }
     arrived = 0;
-    if (++barrierSeq % opts.every == 0)
+    if (++barrierSeq % cfg.checkpointEvery == 0)
         checkpointAsLeader(rt);
     ++generation;
     g.unlock();
@@ -66,12 +65,12 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
     // the previous cut's image are stored. lastBlob always keeps the
     // materialized image (the in-memory restore tier and the next
     // delta's base); lastBytes reports what a store actually costs.
-    const bool full = !opts.delta || lastBlob.empty() ||
-                      (epochsDone - 1) % opts.anchorEvery == 0;
+    const bool full = cfg.ckptDelta == 0 || lastBlob.empty() ||
+                      (epochsDone - 1) % cfg.ckptAnchorEvery == 0;
     if (full) {
         lastBytes = image.size();
         lastBlob = std::move(image);
-        if (!opts.dir.empty())
+        if (!cfg.ckptDir.empty())
             persist(rt, lastBlob, true);
     } else {
         const std::vector<std::byte> delta =
@@ -79,13 +78,14 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
         lastBytes = delta.size();
         ep.stats().checkpointDeltaBytes += delta.size();
         lastBlob = std::move(image);
-        if (!opts.dir.empty())
+        if (!cfg.ckptDir.empty())
             persist(rt, delta, false);
     }
     ep.stats().checkpointsTaken++;
 
-    if (id == opts.outageNode && epochsDone == opts.outageEpoch) {
-        // Silent-peer outage: go dark for opts.outageMs. The injector
+    if (id == cfg.faultOutageNode &&
+        epochsDone == static_cast<std::uint64_t>(cfg.faultOutageEpoch)) {
+        // Silent-peer outage: go dark for faultOutageMs. The injector
         // drops all our droppable traffic — attempt immunity included
         // — and with the service thread already joined no heartbeat is
         // stamped, so survivors' failure detectors genuinely declare
@@ -93,11 +93,11 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
         // retries. Then rebuild from the latest checkpoint tier and
         // rejoin; our first deliveries stamp us alive again and the
         // survivors' recovery hooks run.
-        DSM_ASSERT(opts.injector != nullptr,
+        DSM_ASSERT(injector != nullptr,
                    "outage armed without a fault injector");
-        opts.injector->setSilenced(id, true);
+        injector->setSilenced(id, true);
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts.outageMs));
+            std::chrono::milliseconds(cfg.faultOutageMs));
         const auto t0 = std::chrono::steady_clock::now();
         rt.wipeForRecovery();
         locks.wipeForRecovery();
@@ -108,10 +108,11 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count());
         ep.stats().recoveryReplays++;
-        opts.injector->setSilenced(id, false);
+        injector->setSilenced(id, false);
     }
 
-    if (id == opts.killNode && epochsDone == opts.killEpoch) {
+    if (id == cfg.faultKillNode &&
+        epochsDone == static_cast<std::uint64_t>(cfg.faultKillEpoch)) {
         // Chaos kill: this node "dies" at the cut and is rebuilt from
         // the snapshot alone. Mark the inbox down while the node is
         // dead so a recovery-aware consumer would see a typed
@@ -131,8 +132,8 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
     }
 
     // A long cut must not read as an outage to peers' detectors.
-    if (opts.detector != nullptr)
-        opts.detector->heartbeat(id);
+    if (detector != nullptr)
+        detector->heartbeat(id);
 
     // Restart: the fresh service thread drains the parked messages —
     // the node replays forward from the cut. Restart depends on no
@@ -143,10 +144,10 @@ CheckpointCoordinator::checkpointAsLeader(Runtime &rt)
 std::vector<std::byte>
 CheckpointCoordinator::restoreSource() const
 {
-    if (opts.dir.empty())
+    if (cfg.ckptDir.empty())
         return lastBlob;
-    if (opts.delta) {
-        PersistedImage p = loadLatestImage(opts.dir, id);
+    if (cfg.ckptDelta > 0) {
+        PersistedImage p = loadLatestImage(cfg.ckptDir, id);
         DSM_ASSERT(p.epoch == epochsDone,
                    "persisted chain at epoch %llu, cut at %llu",
                    static_cast<unsigned long long>(p.epoch),
@@ -188,7 +189,7 @@ CheckpointCoordinator::restore(Runtime &rt,
 std::string
 CheckpointCoordinator::blobPath() const
 {
-    return opts.dir + "/node" + std::to_string(id) + "-epoch" +
+    return cfg.ckptDir + "/node" + std::to_string(id) + "-epoch" +
            std::to_string(epochsDone) + ".bin";
 }
 
@@ -197,7 +198,7 @@ CheckpointCoordinator::persist(Runtime &rt,
                                const std::vector<std::byte> &blob,
                                bool full) const
 {
-    std::filesystem::create_directories(opts.dir);
+    std::filesystem::create_directories(cfg.ckptDir);
     {
         std::ofstream out(blobPath(), std::ios::binary | std::ios::trunc);
         DSM_ASSERT(out.good(), "cannot write checkpoint %s",
@@ -212,7 +213,7 @@ CheckpointCoordinator::persist(Runtime &rt,
     // based on; base+delta chains materialize through applyDelta) and
     // the vector-time frontier of the snapshot.
     const std::string manifest =
-        opts.dir + "/manifest-node" + std::to_string(id) + ".txt";
+        cfg.ckptDir + "/manifest-node" + std::to_string(id) + ".txt";
     std::ofstream out(manifest,
                       manifestOwned ? std::ios::app : std::ios::trunc);
     manifestOwned = true;

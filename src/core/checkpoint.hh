@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hh"
 #include "net/endpoint.hh"
 #include "net/network.hh"
 #include "sync/barrier_service.hh"
@@ -67,38 +68,6 @@ class CheckpointCoordinator
     /** Incremental (changed-runs) blob header. */
     static constexpr std::uint64_t kDeltaMagic =
         0x44534d434b504431ull; // DSMCKPD1
-
-    struct Options
-    {
-        /** Checkpoint every N barrier() invocations (>= 1). */
-        std::uint32_t every = 1;
-        /** Chaos victim node (-1 = nobody dies). */
-        NodeId killNode = -1;
-        /** Epoch (count of checkpoints on this node) at which the
-         *  victim is killed and restored. */
-        std::uint32_t killEpoch = 0;
-        /** Snapshot directory ("" = in-memory tier only). */
-        std::string dir;
-        /** Silent-peer outage victim (-1 = none): at this node's cut
-         *  of epoch outageEpoch the injector silences all its
-         *  droppable traffic for outageMs of wall-clock — long enough
-         *  for survivors' failure detectors to genuinely declare it
-         *  down — then the node is wiped, restored from its latest
-         *  checkpoint tier and unsilenced. */
-        NodeId outageNode = -1;
-        std::uint32_t outageEpoch = 0;
-        std::uint32_t outageMs = 0;
-        /** Incremental delta checkpoints: between full anchor cuts
-         *  (every anchorEvery-th epoch), store only the runs that
-         *  changed against the previous cut's image. */
-        bool delta = false;
-        std::uint32_t anchorEvery = 8;
-        /** Silence lever; required when an outage is armed. */
-        FaultInjector *injector = nullptr;
-        /** Keeps our own liveness fresh across a long cut so peers do
-         *  not false-positive a checkpointing node (may be null). */
-        FailureDetector *detector = nullptr;
-    };
 
     /** A materialized (anchor + deltas) persisted node image. */
     struct PersistedImage
@@ -137,8 +106,18 @@ class CheckpointCoordinator
                const std::vector<std::byte> &delta,
                std::uint64_t base_epoch);
 
-    CheckpointCoordinator(NodeId self, int threads_per_node,
-                          Options options, Network &network,
+    /**
+     * @param config The cluster's resolved configuration: checkpoint
+     *        cadence, delta anchors, snapshot directory, and the kill
+     *        and outage plans. Must outlive the coordinator.
+     * @param injector Silence lever; required when an outage is armed.
+     * @param detector Keeps our own liveness fresh across a long cut
+     *        so peers do not false-positive a checkpointing node (may
+     *        be null).
+     */
+    CheckpointCoordinator(NodeId self, const ClusterConfig &config,
+                          FaultInjector *injector,
+                          FailureDetector *detector, Network &network,
                           Endpoint &endpoint, LockService &locks,
                           BarrierService &barriers);
 
@@ -178,8 +157,9 @@ class CheckpointCoordinator
     std::string blobPath() const;
 
     NodeId id;
-    int threadsPerNode;
-    Options opts;
+    const ClusterConfig &cfg;
+    FaultInjector *injector;
+    FailureDetector *detector;
     Network &net;
     Endpoint &ep;
     LockService &locks;

@@ -42,54 +42,12 @@ Cluster::Node::Node(const ClusterConfig &config, Transport &net, NodeId id)
         rt = std::make_unique<LrcRuntime>(deps);
 }
 
-Cluster::Cluster(const ClusterConfig &config) : cfg(config)
+Cluster::Cluster(const ClusterConfig &config)
 {
-    DSM_ASSERT(cfg.nprocs >= 1 && cfg.nprocs <= 64,
-               "unreasonable node count %d", cfg.nprocs);
-    cfg.threadsPerNode = cfg.resolvedThreadsPerNode();
-    // Sharing-policy knobs: apply the "-1 = environment default"
-    // resolution once, so every consumer below sees plain values.
-    cfg.lockLocalHandoffBound = cfg.resolvedLockFairness();
-    cfg.homeMigrateLastWriter = cfg.resolvedHomeLastWriter() ? 1 : 0;
-    cfg.homePingPongLimit =
-        static_cast<int>(cfg.resolvedHomePingPongLimit());
-    cfg.homeFlushDefer = cfg.resolvedHomeFlushDefer() ? 1 : 0;
-    // Latency-path knobs (PR 9).
-    cfg.replyBypass = cfg.resolvedReplyBypass() ? 1 : 0;
-    cfg.blockingDequeue = cfg.resolvedBlockingDequeue() ? 1 : 0;
-    DSM_ASSERT(cfg.coalesceSends == 0,
-               "send coalescing is retired; coalesceSends must be 0");
-    DSM_ASSERT(cfg.optimisticHomeReads == 0 && cfg.optReadMaxRetries == 3,
-               "optimistic home reads are retired; optimisticHomeReads "
-               "must be 0 and optReadMaxRetries 3");
-    cfg.lockFairnessAdaptive = cfg.resolvedLockFairnessAdaptive() ? 1 : 0;
-    // Transport tier: resolve before the crash-tolerance knobs so the
-    // in-process-only fallback sees their resolved values too.
     std::string fallback;
-    cfg.transport = cfg.resolvedTransport(&fallback);
+    cfg = config.resolved(&fallback);
     if (!fallback.empty())
         warn("%s", fallback.c_str());
-    cfg.socketDir = cfg.resolvedSocketDir();
-    // Crash-tolerance knobs, same discipline. Order matters: the kill
-    // epoch defaults on the kill node, and checkpointing engages on
-    // either a kill or a snapshot directory.
-    cfg.faultSeed = static_cast<long long>(cfg.resolvedFaultSeed());
-    cfg.faultKillNode = cfg.resolvedFaultKillNode();
-    cfg.faultKillEpoch = cfg.resolvedFaultKillEpoch();
-    cfg.faultOutageNode = cfg.resolvedFaultOutageNode();
-    cfg.faultOutageEpoch = cfg.resolvedFaultOutageEpoch();
-    cfg.faultOutageMs = cfg.resolvedFaultOutageMs();
-    cfg.fdDeadlineMs = static_cast<int>(cfg.resolvedFdDeadlineNs() /
-                                        1'000'000);
-    cfg.faultRtoFirstUs =
-        static_cast<long long>(cfg.resolvedRtoFirstNs() / 1000);
-    cfg.faultRtoCapUs =
-        static_cast<long long>(cfg.resolvedRtoCapNs() / 1000);
-    cfg.ckptDir = cfg.resolvedCkptDir();
-    cfg.checkpointEvery = cfg.resolvedCheckpointEvery();
-    cfg.faultMsgDrop = cfg.resolvedFaultMsgDrop();
-    cfg.ckptDelta = cfg.resolvedCkptDelta() ? 1 : 0;
-    cfg.ckptAnchorEvery = cfg.resolvedCkptAnchorEvery();
     cfg.runtime.validate();
     // The pool is process-wide; the newest cluster's ablation setting
     // wins (clusters run sequentially in tests and benches).
@@ -107,8 +65,7 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
         cfg.faultOutageNode >= 0 && cfg.faultOutageEpoch >= 1;
     if (cfg.faultMsgDrop > 0 || outageArmed) {
         faults = std::make_unique<FaultInjector>(
-            static_cast<std::uint64_t>(cfg.faultSeed),
-            cfg.faultMsgDrop > 0 ? cfg.faultMsgDrop : 0.0);
+            static_cast<std::uint64_t>(cfg.faultSeed), cfg.faultMsgDrop);
         net->setFaultInjector(faults.get());
     }
 
@@ -116,9 +73,11 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
     // stamp of a peer is visible to (and revives it for) the whole
     // cluster, mirroring how a real network's arrivals update every
     // observer that hears the node.
-    if (cfg.resolvedFdDeadlineNs() > 0) {
+    if (cfg.fdDeadlineMs > 0) {
         detector = std::make_unique<FailureDetector>(
-            *net, cfg.nprocs, cfg.resolvedFdDeadlineNs(), faults.get());
+            *net, cfg.nprocs,
+            static_cast<std::uint64_t>(cfg.fdDeadlineMs) * 1'000'000,
+            faults.get());
     }
 
     nodes.reserve(cfg.nprocs);
@@ -127,12 +86,15 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
 
     for (auto &node : nodes) {
         Node *n = node.get();
-        if (faults)
+        // The detector's PeerUnavailable returns ride the
+        // fault-tolerant request path, drops or not.
+        if (faults || detector)
             n->ep.setFaultsEnabled(true);
         n->ep.setReplyBypass(cfg.replyBypass > 0);
         n->ep.setBlockingDequeue(cfg.blockingDequeue > 0);
-        n->ep.setRetransmitTimeouts(cfg.resolvedRtoFirstNs(),
-                                    cfg.resolvedRtoCapNs());
+        n->ep.setRetransmitTimeouts(
+            static_cast<std::uint64_t>(cfg.faultRtoFirstUs) * 1'000,
+            static_cast<std::uint64_t>(cfg.faultRtoCapUs) * 1'000);
         if (detector) {
             n->ep.setFailureDetector(detector.get());
             // Down -> healthy transition of a peer: re-forward any
@@ -142,24 +104,8 @@ Cluster::Cluster(const ClusterConfig &config) : cfg(config)
             n->rt->setFailureDetector(detector.get());
         }
         if (cfg.checkpointEvery > 0) {
-            CheckpointCoordinator::Options opts;
-            opts.every = static_cast<std::uint32_t>(cfg.checkpointEvery);
-            opts.killNode = cfg.faultKillNode;
-            opts.killEpoch =
-                static_cast<std::uint32_t>(cfg.faultKillEpoch);
-            opts.dir = cfg.ckptDir;
-            opts.outageNode = cfg.faultOutageNode;
-            opts.outageEpoch =
-                static_cast<std::uint32_t>(cfg.faultOutageEpoch);
-            opts.outageMs = static_cast<std::uint32_t>(
-                cfg.faultOutageMs > 0 ? cfg.faultOutageMs : 0);
-            opts.delta = cfg.ckptDelta > 0;
-            opts.anchorEvery =
-                static_cast<std::uint32_t>(cfg.ckptAnchorEvery);
-            opts.injector = faults.get();
-            opts.detector = detector.get();
             n->ckpt = std::make_unique<CheckpointCoordinator>(
-                n->ep.self(), cfg.threadsPerNode, std::move(opts), *net,
+                n->ep.self(), cfg, faults.get(), detector.get(), *net,
                 n->ep, n->locks, n->barriers);
             n->rt->setCheckpoint(n->ckpt.get());
         }

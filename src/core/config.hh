@@ -58,7 +58,13 @@ struct RuntimeConfig
     bool operator==(const RuntimeConfig &other) const = default;
 };
 
-/** Parameters of a simulated cluster. */
+/**
+ * Parameters of a simulated cluster. Every field except runtime and
+ * cost is one row of the knob table in config.cc: record key,
+ * environment variable, default, allowed range and a one-line doc.
+ * The -1 (0, empty) initializers mark rows Cluster resolves from the
+ * environment or a derived default, once, through resolved().
+ */
 struct ClusterConfig
 {
     int nprocs = 8;
@@ -67,8 +73,7 @@ struct ClusterConfig
      * Application threads per node (SMP nodes). Every node runs this
      * many SPMD worker threads sharing the node's memory, protocol
      * state and network endpoint; worker w = node * T + threadId
-     * partitions the applications. 0 means "default": the DSM_THREADS
-     * environment variable if set, else 1. With T == 1 the runtime is
+     * partitions the applications. With T == 1 the runtime is
      * observationally identical to the historical one-thread-per-node
      * system (the per-thread clock aliases the node clock and no
      * intra-node queueing ever happens).
@@ -105,12 +110,8 @@ struct ClusterConfig
 
     // --- Fast-path memory pipeline (ablatable against the seed paths).
 
-    /**
-     * Compare 64-bit blocks during diff creation and twin-vs-copy
-     * timestamp stamping, skipping clean memory 32 bytes at a time.
-     * Disabling it reproduces the seed per-4-byte memcmp scan. Both
-     * emit identical word-granularity runs.
-     */
+    /** Retired: only true is accepted. The scan kernel is process-wide
+     *  (bestScanKernel); DSM_WIDE_SCAN=0 pins the seed scalar loop. */
     bool wideDiffScan = true;
 
     /**
@@ -165,15 +166,8 @@ struct ClusterConfig
     bool gcAtBarriers = true;
     std::uint32_t gcIntervalThreshold = 256;
 
-    /**
-     * Size the GC trigger from arena pressure instead of the bare
-     * record count: with this on, barrier-time GC also fires once the
-     * interval log references at least gcPressurePages page entries
-     * (live records x average pages per record), so a log full of fat
-     * records collects long before the static record-count threshold.
-     * The static gcIntervalThreshold remains as the fallback trigger
-     * either way. Off by default (legacy trigger).
-     */
+    /** Retired arena-pressure GC trigger: only false and 2048 are
+     *  accepted. */
     bool adaptiveGcThreshold = false;
     std::uint32_t gcPressurePages = 2048;
 
@@ -206,10 +200,9 @@ struct ClusterConfig
 
     // --- Sharing-policy layer: adaptive policies for migratory
     // sharing (locks and task queues — the pattern on which the
-    // paper's EC and LRC results diverge most). Each knob defaults to
-    // -1 = "resolve from the environment at Cluster construction, off
-    // when unset", so whole ctest/bench legs can flip a policy without
-    // recompiling while tests that pin a value explicitly stay pinned.
+    // paper's EC and LRC results diverge most). Environment variables
+    // let whole ctest/bench legs flip a policy without recompiling,
+    // while tests that pin a value stay pinned.
 
     /**
      * Bounded local-priority lock hand-off (SMP nodes): after at most
@@ -220,9 +213,8 @@ struct ClusterConfig
      * contention while capping how long a queued remote request can
      * starve (EC's task-queue app degrades unboundedly under pure
      * local-first hand-off at threadsPerNode > 1). 0 = unbounded (the
-     * pure local-first policy); -1 = the DSM_LOCK_FAIRNESS
-     * environment variable if set, else 0. Counted by
-     * remoteHandoffsForced / maxLocalHandoffRun.
+     * pure local-first policy). Counted by remoteHandoffsForced /
+     * maxLocalHandoffRun.
      */
     int lockLocalHandoffBound = -1;
 
@@ -232,8 +224,7 @@ struct ClusterConfig
      * lock-protected counters) follows the writer chain instead of
      * waiting for one node to dominate the access counts. Classified
      * by writer switches within the homeDecayWindow epoch (see
-     * homeWriterSwitchThreshold). -1 = DSM_HOME_LAST_WRITER env if
-     * set, else off. Counted by lastWriterMigrations.
+     * homeWriterSwitchThreshold). Counted by lastWriterMigrations.
      */
     int homeMigrateLastWriter = -1;
 
@@ -250,21 +241,16 @@ struct ClusterConfig
      * this many times (its migration epoch), further migrations are
      * suppressed and the page stays pinned at its current home — the
      * lever that turns pathological follow-the-writer ping-pong into
-     * a stable, reproducible static-home pattern. 0 = no cap; -1 =
-     * DSM_HOME_PINGPONG env if set, else 0 with the access-count
-     * policy alone and 8 when the last-writer policy is on (a
-     * migratory page settles after a bounded chase). Counted by
+     * a stable, reproducible static-home pattern. 0 = no cap; the
+     * default is 8 under the last-writer policy (a migratory page
+     * settles after a bounded chase). Counted by
      * homeMigrationsSuppressed.
      */
     int homePingPongLimit = -1;
 
-    /**
-     * Retired optimistic lock-free home reads. Only these defaults are
-     * accepted (Cluster rejects anything else); the fields stay
-     * because the benchmark in perfbench/ assigns every field. Every
-     * home-mode miss reads its page through the locked
-     * HomePageRequest path.
-     */
+    /** Retired optimistic lock-free home reads: only 0 and 3 are
+     *  accepted. Every home-mode miss reads its page through the
+     *  locked HomePageRequest path. */
     int optimisticHomeReads = 0;
     int optReadMaxRetries = 3;
 
@@ -276,15 +262,13 @@ struct ClusterConfig
      * pending interval's diffs instead of one message per close — the
      * home's word-sum guard already tolerates any arrival order, and
      * requests for not-yet-flushed intervals park at the home exactly
-     * as they do for in-flight ones. -1 = DSM_HOME_DEFER env if set,
-     * else off (eager per-close flushes, the legacy protocol).
-     * Counted by homeFlushesDeferred.
+     * as they do for in-flight ones. Off = eager per-close flushes,
+     * the legacy protocol. Counted by homeFlushesDeferred.
      */
     int homeFlushDefer = -1;
 
     // --- Latency-path layer: reply-bypass delivery and adaptive
-    // blocking dequeue. Same -1 = "resolve from the environment at
-    // Cluster construction" convention as the policy knobs.
+    // blocking dequeue.
 
     /**
      * Reply-bypass delivery: RPC replies are written straight into
@@ -292,8 +276,8 @@ struct ClusterConfig
      * service-thread MPSC hop, guarded by a per-(src, dst) outstanding
      * -inbox-message counter so a bypassed reply can never overtake an
      * earlier inbox message from the same peer (HomeMigrate installs,
-     * LockForward chains). -1 = DSM_REPLY_BYPASS env if set, else on.
-     * Counted by repliesBypassed / replyBypassRefusals.
+     * LockForward chains). On by default. Counted by repliesBypassed /
+     * replyBypassRefusals.
      */
     int replyBypass = -1;
 
@@ -303,88 +287,71 @@ struct ClusterConfig
      * with an adaptive spin threshold instead of spinning through
      * chargeWork backoff, and the service thread's ring pop uses a
      * dynamically sized spin budget (halve on park, grow on hot pop)
-     * instead of the binary parked/hot budget. -1 = DSM_BLOCKING_DEQ
-     * env if set, else off. Counted by idlePolls / idleParks.
+     * instead of the binary parked/hot budget. Counted by idlePolls /
+     * idleParks.
      */
     int blockingDequeue = -1;
 
-    /**
-     * Retired send-side coalescing. Only 0 is accepted (Cluster
-     * rejects anything else); the field stays because the benchmark
-     * in perfbench/ assigns every field. Home traffic is batched by
-     * the protocol instead: one HomeDiffFlush per home per interval
-     * close (merged across closes under homeFlushDefer) and one
-     * HomeMigrate per peer per migration batch.
-     */
+    /** Retired send-side coalescing: only 0 is accepted. Home traffic
+     *  is batched by the protocol instead (DESIGN.md §10). */
     int coalesceSends = 0;
 
     /**
      * Per-lock adaptive fairness bound: instead of the static
-     * DSM_LOCK_FAIRNESS k, each lock's local-hand-off bound grows
+     * lockLocalHandoffBound k, each lock's local-hand-off bound grows
      * (x2, capped) while local runs complete with no remote waiter
      * queued and shrinks (/2, floored at 1) every time the bound
      * forces a remote grant — EC's task queue settles near k=16 while
      * LRC's prefers k=4, so one static k always sacrifices one of
      * them. Takes effect only when a base bound is armed (the static
-     * k seeds the initial per-lock bound). -1 =
-     * DSM_LOCK_FAIRNESS_ADAPT env if set, else off. Counted by
+     * k seeds the initial per-lock bound). Counted by
      * fairnessBoundGrows / fairnessBoundShrinks.
      */
-    int lockFairnessAdaptive = -1;
+    int lockFairnessAdaptive = 0;
 
     // --- Crash tolerance: fault injection + coordinated
-    // checkpointing. Same -1 = "resolve from the environment at
-    // Cluster construction" convention as the policy knobs, so the CI
-    // fault legs and the nightly chaos workflow flip them per process
-    // while tests that pin values stay pinned. With every knob at its
-    // resolved default (no DSM_FAULT_*/DSM_CKPT_* in the environment)
-    // the fault layer is never constructed and the hot paths are
-    // bit-identical to a build without it (zero-cost abstraction,
+    // checkpointing. The CI fault legs and the nightly chaos workflow
+    // arm them per process through the environment. With nothing
+    // armed the fault layer is never constructed and the hot paths
+    // are bit-identical to a build without it (zero-cost abstraction,
     // asserted by the CI micro_net comparison).
 
-    /**
-     * Seed of the deterministic fault injector (message-drop
-     * decisions). -1 = DSM_FAULT_SEED env if set, else 1.
-     */
+    /** Seed of the deterministic fault injector (message-drop
+     *  decisions). */
     long long faultSeed = -1;
 
     /**
-     * Fraction of *droppable* messages (direct request/reply RPCs —
-     * never chain-routed lock or home traffic, never Shutdown) the
-     * injector discards before they reach the destination inbox, in
-     * ppm-style units: the env variable takes a float in [0, 1).
-     * Enables the Endpoint deadline + bounded-retransmit machinery.
-     * < 0 = DSM_FAULT_MSG_DROP env if set, else 0 (off).
+     * Fraction in [0, 1) of *droppable* messages (direct
+     * request/reply RPCs — never chain-routed lock or home traffic,
+     * never Shutdown) the injector discards before they reach the
+     * destination inbox. Enables the Endpoint deadline +
+     * bounded-retransmit machinery.
      */
     double faultMsgDrop = -1.0;
 
     /**
      * Node to chaos-kill at a barrier: the victim's protocol state is
      * wiped and restored from its latest checkpoint, and its parked
-     * inbox traffic replays forward. -1 = DSM_FAULT_KILL_NODE env if
-     * set, else no kill.
+     * inbox traffic replays forward. Unset or outside the cluster =
+     * no kill.
      */
     int faultKillNode = -1;
 
-    /**
-     * Barrier-arrival count (per node, 1-based) at which the kill
-     * fires. -1 = DSM_FAULT_KILL_EPOCH env if set, else 2 when a kill
-     * is armed.
-     */
+    /** Barrier-arrival count (per node, 1-based) at which the kill
+     *  fires; 2 by default, 0 when no kill is armed. */
     int faultKillEpoch = -1;
 
     /**
      * Take a coordinated checkpoint every N barrier cuts (1 = every
-     * barrier). 0 = never; -1 = DSM_CKPT_EVERY env if set, else 1
-     * when checkpointing is otherwise engaged (a kill is armed or
-     * ckptDir is set), else 0.
+     * barrier, 0 = never). Unset = 1 when checkpointing is otherwise
+     * engaged (a kill or outage is armed, or ckptDir is set), else 0.
      */
     int checkpointEvery = -1;
 
     /**
      * Directory for tier-1 file-backed snapshots (one blob per node
      * per cut + a manifest recording the cut's vector-time frontier).
-     * Empty = DSM_CKPT_DIR env if set, else in-memory tier 0 only.
+     * Empty = in-memory tier 0 only.
      */
     std::string ckptDir;
 
@@ -396,42 +363,32 @@ struct ClusterConfig
      * faultOutageMs of wall-clock, then the node is wiped, restored
      * from its latest checkpoint and unsilenced. Survivors detect the
      * outage via the failure detector and degrade (typed
-     * PeerUnavailable retries) instead of hanging. -1 =
-     * DSM_FAULT_OUTAGE_NODE env if set, else no outage.
+     * PeerUnavailable retries) instead of hanging. Unset or outside
+     * the cluster = no outage.
      */
     int faultOutageNode = -1;
 
-    /**
-     * Barrier-arrival count (per node, 1-based) at which the outage
-     * fires. -1 = DSM_FAULT_OUTAGE_EPOCH env if set, else 2 when an
-     * outage is armed.
-     */
+    /** Barrier-arrival count (per node, 1-based) at which the outage
+     *  fires; 2 by default, 0 when no outage is armed. */
     int faultOutageEpoch = -1;
 
-    /**
-     * Outage duration in wall-clock milliseconds; must comfortably
-     * exceed the detector deadline so survivors genuinely observe the
-     * peer down. -1 = DSM_FAULT_OUTAGE_MS env if set, else 120.
-     */
+    /** Outage duration in wall-clock milliseconds; must comfortably
+     *  exceed the detector deadline so survivors genuinely observe
+     *  the peer down. */
     int faultOutageMs = -1;
 
     /**
      * Failure-detector liveness deadline in milliseconds: a peer not
      * heard from (message arrival or in-process heartbeat) within the
-     * deadline is declared down. 0 disarms the detector. -1 =
-     * DSM_FD_DEADLINE_MS env if set, else 50 when an outage is armed,
-     * else 0.
+     * deadline is declared down. 0 disarms the detector; the default
+     * is 50 when an outage is armed, else 0.
      */
     int fdDeadlineMs = -1;
 
-    /**
-     * Endpoint retransmit schedule in microseconds: first deadline
-     * and exponential-backoff cap. -1 = DSM_FAULT_RTO_FIRST_US /
-     * DSM_FAULT_RTO_CAP_US env if set, else the historical 2000 /
-     * 500000.
-     */
-    long long faultRtoFirstUs = -1;
-    long long faultRtoCapUs = -1;
+    /** Endpoint retransmit schedule in microseconds: first deadline
+     *  and exponential-backoff cap. */
+    long long faultRtoFirstUs = 2000;
+    long long faultRtoCapUs = 500000;
 
     /**
      * Incremental delta checkpoints: between full anchor cuts, a
@@ -439,27 +396,22 @@ struct ClusterConfig
      * previous cut's image and only the changed runs are stored
      * (checkpointDeltaBytes), with periodic anchors bounding chain
      * length. Restore materializes anchor + deltas and is
-     * bit-identical to restoring a full cut. -1 = DSM_CKPT_DELTA env
-     * if set, else off (every cut full).
+     * bit-identical to restoring a full cut. Off = every cut full.
      */
-    int ckptDelta = -1;
+    int ckptDelta = 0;
 
-    /**
-     * Anchor cadence for delta chains: every N-th checkpoint of a
-     * node is a full cut (N = 1 degenerates to all-full). -1 =
-     * DSM_CKPT_ANCHOR env if set, else 8.
-     */
-    int ckptAnchorEvery = -1;
+    /** Anchor cadence for delta chains: every N-th checkpoint of a
+     *  node is a full cut (N = 1 degenerates to all-full). */
+    int ckptAnchorEvery = 8;
 
-    // --- Transport tier (DESIGN.md §9). Same env-resolution
-    // convention: the empty string means "take DSM_TRANSPORT at
-    // Cluster construction, ring when unset".
+    // --- Transport tier (DESIGN.md §9).
 
     /**
      * Which interconnect carries the cluster's messages:
      *  - "ring"   — tier 0, all nodes are threads of this process
      *               sharing in-memory MPSC rings (the historical
-     *               substrate; every feature works here);
+     *               substrate, and the default; every feature works
+     *               here);
      *  - "socket" — tier 1, Cluster::run forks one process per node
      *               and messages cross Unix-domain sockets as
      *               length-prefixed frames;
@@ -468,101 +420,29 @@ struct ClusterConfig
      * In-process-only features (coordinated checkpointing, chaos
      * kill, silent-peer outages, the failure detector) force a
      * documented fallback to "ring" — they reach across node state in
-     * ways only one address space allows. Empty = DSM_TRANSPORT env
-     * if set, else "ring".
+     * ways only one address space allows.
      */
     std::string transport;
 
     /**
      * Rendezvous directory for the socket tiers (listeners, port
-     * files, result dumps). Empty = DSM_SOCKET_DIR env if set, else a
-     * fresh mkdtemp directory per run, removed afterwards.
+     * files, result dumps). Empty = a fresh mkdtemp directory per
+     * run, removed afterwards.
      */
     std::string socketDir;
 
-    /** transport with the empty = "env or ring" default applied and
-     *  the in-process-only fallback rules enforced. When a requested
-     *  socket tier falls back to the ring, @p fallback (if non-null)
-     *  receives a message naming the tier and the feature that forced
-     *  the move. */
-    std::string resolvedTransport(std::string *fallback = nullptr) const;
+    /**
+     * This configuration with the knob table applied: no unset rows,
+     * every value checked (a fatal() names the row and the variable).
+     * When a requested socket tier falls back to the ring, @p fallback
+     * (if non-null) receives a message naming the tier and the
+     * in-process-only feature that forced the move.
+     */
+    ClusterConfig resolved(std::string *fallback = nullptr) const;
 
-    /** socketDir with the empty = "env or ephemeral" default (empty
-     *  result = make a fresh directory per run). */
-    std::string resolvedSocketDir() const;
-
-    /** threadsPerNode with the 0 = "env or 1" default applied. */
-    int resolvedThreadsPerNode() const;
-
-    /** lockLocalHandoffBound with the -1 = "env or 0" default. */
-    int resolvedLockFairness() const;
-
-    /** homeMigrateLastWriter with the -1 = "env or off" default. */
-    bool resolvedHomeLastWriter() const;
-
-    /** homePingPongLimit with the -1 = "env, else policy default". */
-    std::uint32_t resolvedHomePingPongLimit() const;
-
-    /** homeFlushDefer with the -1 = "env or off" default. */
-    bool resolvedHomeFlushDefer() const;
-
-    /** replyBypass with the -1 = "env or ON" default. */
-    bool resolvedReplyBypass() const;
-
-    /** blockingDequeue with the -1 = "env or off" default. */
-    bool resolvedBlockingDequeue() const;
-
-    /** lockFairnessAdaptive with the -1 = "env or off" default. */
-    bool resolvedLockFairnessAdaptive() const;
-
-    /** faultSeed with the -1 = "env or 1" default. */
-    std::uint64_t resolvedFaultSeed() const;
-
-    /** faultMsgDrop with the < 0 = "env or 0" default, in [0, 1). */
-    double resolvedFaultMsgDrop() const;
-
-    /** faultKillNode with the -1 = "env or none" default (-1 = no
-     *  kill). */
-    int resolvedFaultKillNode() const;
-
-    /** faultKillEpoch with the -1 = "env, else 2 when armed" default;
-     *  0 when no kill is armed. */
-    int resolvedFaultKillEpoch() const;
-
-    /** checkpointEvery with the -1 = "env, else engage-on-demand"
-     *  default. */
-    int resolvedCheckpointEvery() const;
-
-    /** ckptDir with the empty = "env or none" default. */
-    std::string resolvedCkptDir() const;
-
-    /** faultOutageNode with the -1 = "env or none" default (-1 = no
-     *  outage). */
-    int resolvedFaultOutageNode() const;
-
-    /** faultOutageEpoch with the -1 = "env, else 2 when armed"
-     *  default; 0 when no outage is armed. */
-    int resolvedFaultOutageEpoch() const;
-
-    /** faultOutageMs with the -1 = "env or 120" default. */
-    int resolvedFaultOutageMs() const;
-
-    /** Detector deadline in ns; 0 = detector disarmed. */
-    std::uint64_t resolvedFdDeadlineNs() const;
-
-    /** Retransmit schedule in ns (first deadline, backoff cap). */
-    std::uint64_t resolvedRtoFirstNs() const;
-    std::uint64_t resolvedRtoCapNs() const;
-
-    /** ckptDelta with the -1 = "env or off" default. */
-    bool resolvedCkptDelta() const;
-
-    /** ckptAnchorEvery with the -1 = "env or 8" default. */
-    int resolvedCkptAnchorEvery() const;
-
-    /** True when any fault-injection knob resolves on (drop rate > 0,
-     *  a kill armed, or a silent-peer outage armed). */
-    bool faultsEngaged() const;
+    /** One JSON object: runtime, cost_model and every row of the knob
+     *  table under its record key, in table order. */
+    std::string toJson() const;
 };
 
 } // namespace dsm

@@ -280,7 +280,7 @@ std::vector<Run>
 EcRuntime::twinChanges(LockId lock, LockInfo &li)
 {
     std::vector<Run> byte_runs;
-    const ScanKernel kernel = scanKernelFor(cluster->wideDiffScan);
+    const ScanKernel kernel = bestScanKernel();
     auto compare = [&](const std::byte *cur, const std::byte *twin,
                        std::uint64_t len, std::uint64_t concat_base) {
         const std::uint32_t words = static_cast<std::uint32_t>(len / 4);

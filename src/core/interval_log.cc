@@ -26,7 +26,6 @@ IntervalLog::add(IntervalRec rec, bool *was_new)
     DSM_ASSERT(rec.idx == last + 1,
                "gap in interval log of proc %d: have %u, got %u",
                rec.proc, last, rec.idx);
-    pageRefs += rec.pages.size();
     pl.recs.push_back(std::move(rec));
     return pl.recs.back();
 }
@@ -83,7 +82,6 @@ IntervalLog::pruneThrough(const VectorTime &through)
     for (int p = 0; p < nprocs(); ++p) {
         ProcLog &pl = procs[p];
         while (!pl.recs.empty() && pl.recs.front().idx <= through[p]) {
-            pageRefs -= pl.recs.front().pages.size();
             pl.recs.pop_front();
             ++pl.base;
             ++pruned;
@@ -124,7 +122,6 @@ IntervalLog::restoreFrom(WireReader &r)
 {
     const std::uint32_t nprocs = r.getU32();
     procs.assign(nprocs, ProcLog{});
-    pageRefs = 0;
     for (std::uint32_t p = 0; p < nprocs; ++p) {
         ProcLog &pl = procs[p];
         pl.base = r.getU32();
@@ -138,7 +135,6 @@ IntervalLog::restoreFrom(WireReader &r)
             rec.pages.reserve(npages);
             for (std::uint32_t pg = 0; pg < npages; ++pg)
                 rec.pages.push_back(r.getU32());
-            pageRefs += rec.pages.size();
             pl.recs.push_back(std::move(rec));
         }
     }

@@ -237,7 +237,7 @@ LrcRuntime::closeInterval()
             // writer history (adaptive single-writer coalescing).
             const bool single_writer =
                 (meta(p).writerMask & ~(std::uint64_t{1} << id)) == 0;
-            const DiffScan scan{scanKernelFor(cluster->wideDiffScan),
+            const DiffScan scan{bestScanKernel(),
                                 (homeMode() || !single_writer)
                                     ? 0
                                     : cluster->diffGapWords};
@@ -829,22 +829,11 @@ LrcRuntime::preBarrier()
     {
         std::lock_guard<std::mutex> g(nl->core);
         std::size_t records;
-        std::uint64_t page_refs;
         {
             std::lock_guard<std::mutex> ig(nl->ilog);
             records = ilog.totalRecords();
-            page_refs = ilog.totalPageRefs();
         }
-        // Static trigger: enough records. Adaptive trigger (ROADMAP):
-        // enough arena pressure — records x pages per record — so a
-        // log full of fat records collects long before the count
-        // threshold; the static value stays as the fallback.
-        bool trigger = records >= cluster->gcIntervalThreshold;
-        if (cluster->adaptiveGcThreshold &&
-            page_refs >= cluster->gcPressurePages) {
-            trigger = true;
-        }
-        if (!trigger)
+        if (records < cluster->gcIntervalThreshold)
             return;
         // The maintained invalid-page set is already sorted and holds
         // exactly the pages with pending notices.

@@ -55,9 +55,10 @@ const char *toString(ScanKernel kernel);
 bool cpuHasSimdScan();
 
 /**
- * The fastest kernel available: Simd when the CPU supports it and the
- * environment does not veto it (DSM_SIMD=0 pins Wide — the CI leg that
- * proves the fallback), Wide otherwise. Resolved once per process.
+ * The kernel every scan site uses: Simd when the CPU supports it and
+ * the environment does not veto it, Wide otherwise. DSM_SIMD=0 pins
+ * Wide and DSM_WIDE_SCAN=0 the seed Scalar loop — the CI legs that
+ * prove each fallback. Resolved once per process.
  */
 ScanKernel bestScanKernel();
 
@@ -142,14 +143,6 @@ findSameWord(const std::byte *cur, const std::byte *twin,
     while (w < words && scanWordDiffers(cur, twin, w))
         ++w;
     return w;
-}
-
-/** Kernel for a configuration's wideDiffScan ablation flag: the seed
- *  scalar loop when disabled, the best available kernel otherwise. */
-inline ScanKernel
-scanKernelFor(bool wide_diff_scan)
-{
-    return wide_diff_scan ? bestScanKernel() : ScanKernel::Scalar;
 }
 
 /** Callback trampoline used by the out-of-line SIMD run scan. */

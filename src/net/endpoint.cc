@@ -8,6 +8,21 @@
 
 namespace dsm {
 
+namespace {
+
+/** Wake a caller parked on its reply slot: the fault-tolerant path's
+ *  timed waits park on a raw futex, which std::atomic::notify_one does
+ *  not reach; every other wait parks in std::atomic::wait. */
+void
+wakeCaller(std::atomic<std::uint32_t> &ready, bool faults_on)
+{
+    if (faults_on)
+        futexWakeOne(ready);
+    ready.notify_one();
+}
+
+} // namespace
+
 Endpoint::Endpoint(Transport &network, NodeId self, VirtualClock &clock,
                    NodeStats &stats)
     : net(&network), id(self), vclock(clock), nodeStats(stats)
@@ -186,7 +201,7 @@ Endpoint::tryDeliverReply(Message &msg)
     slot->msg = std::move(msg);
     slot->viaBypass = true;
     slot->ready.store(1, std::memory_order_release);
-    slot->ready.notify_one();
+    wakeCaller(slot->ready, faultsOn);
     return true;
 }
 
@@ -420,7 +435,7 @@ Endpoint::dispatchInner(Message &msg)
                     // may have arrived via the bypass slot)
         slot->msg = std::move(msg);
         slot->ready.store(1, std::memory_order_release);
-        slot->ready.notify_one();
+        wakeCaller(slot->ready, faultsOn);
         return;
     }
 

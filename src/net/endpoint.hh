@@ -316,7 +316,7 @@ class Endpoint : public ReplyReceiver
     std::vector<std::deque<DedupEntry>> dedup;
     /** First retransmit deadline; doubles per retry up to the cap.
      *  Wall-clock (the virtual clock never waits). Instance fields so
-     *  DSM_FAULT_RTO_* / ClusterConfig can tune the schedule per run. */
+     *  ClusterConfig can tune the schedule per run. */
     std::uint64_t retransmitFirstNs = 2'000'000;
     std::uint64_t retransmitCapNs = 500'000'000;
 

@@ -115,7 +115,7 @@ class LockService
      *        consecutive intra-node hand-offs (0 = unbounded, the
      *        pure local-first policy).
      * @param adaptive_fairness Per-lock adaptive bound
-     *        (DSM_LOCK_FAIRNESS_ADAPT): each lock starts at the
+     *        (ClusterConfig::lockFairnessAdaptive): each lock starts at the
      *        static bound (or 4 when none is armed), doubles while
      *        releases find no remote waiter queued (up to 64) and
      *        halves every time the bound forces a remote grant (down

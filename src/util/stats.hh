@@ -70,7 +70,7 @@ struct NodeStats
      *  a fairness bound k and a remote requester pending, the run a
      *  remote waits out never exceeds k. */
     std::uint64_t maxLocalHandoffRun = 0;
-    /** Per-lock adaptive fairness (DSM_LOCK_FAIRNESS_ADAPT): bound
+    /** Per-lock adaptive fairness (lockFairnessAdaptive): bound
      *  growth events (a local run completed with no remote waiter
      *  queued) and shrink events (the bound forced a remote grant). */
     std::uint64_t fairnessBoundGrows = 0;

@@ -322,6 +322,25 @@ TEST(FaultInjection, DropsPlusChaosKill)
     }
 }
 
+// The failure detector alone, with no drops and no outage: its
+// PeerUnavailable returns need the endpoints' fault-tolerant path, so
+// arming it arms that path too, and the state must not notice.
+// Detections are not asserted: a loaded host may flap a peer past the
+// deadline, which the path absorbs.
+TEST(FaultInjection, DetectorAloneRunsOnTheFaultTolerantPath)
+{
+    const KernelCase kc = {"stencil", stencilKernel, stencilBytes(), 4,
+                           2};
+    FaultPlan detector;
+    detector.fdDeadlineMs = 1000;
+    for (const ProtocolLeg &leg : kLegs) {
+        const RunOutput reference = runCase(leg, kc, FaultPlan{});
+        const RunOutput got = runCase(leg, kc, detector);
+        expectBitIdentical(kc, leg, reference.state, got.state);
+        EXPECT_EQ(got.result.total.recoveryReplays, 0u);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Self-healing: silent-peer outages, failure detection and graceful
 // degradation. The victim goes dark mid-run (no crash message, no

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/cluster.hh"
 #include "driver/experiment.hh"
 #include "driver/table.hh"
@@ -36,14 +43,29 @@ TEST(Config, UnknownNameIsFatal)
     EXPECT_DEATH({ RuntimeConfig::parse("EC-lazy"); }, "unknown");
 }
 
-/** Send coalescing is retired: the field stays only for the benchmark
- *  in perfbench/, and any value but 0 is refused. */
+/** Retired fields are knob-table rows that allow one value; they stay
+ *  only because the benchmark in perfbench/ assigns every field. Send
+ *  coalescing accepts only 0, the arena-pressure GC trigger only false
+ *  and 2048, and the config switch to the seed scalar scan only
+ *  true. */
 TEST(Config, RetiredCoalescingIsRejected)
 {
     ClusterConfig cc;
     cc.nprocs = 2;
     cc.coalesceSends = 1;
     EXPECT_DEATH({ Cluster cluster(cc); }, "coalescing is retired");
+    ClusterConfig gc;
+    gc.nprocs = 2;
+    gc.adaptiveGcThreshold = true;
+    EXPECT_DEATH({ Cluster cluster(gc); }, "GC trigger is retired");
+    ClusterConfig pressure;
+    pressure.nprocs = 2;
+    pressure.gcPressurePages = 1024;
+    EXPECT_DEATH({ Cluster cluster(pressure); }, "GC trigger is retired");
+    ClusterConfig scan;
+    scan.nprocs = 2;
+    scan.wideDiffScan = false;
+    EXPECT_DEATH({ Cluster cluster(scan); }, "scalar scan is retired");
 }
 
 /** Optimistic home reads are retired the same way: only the defaults
@@ -58,6 +80,233 @@ TEST(Config, RetiredOptimisticReadsAreRejected)
     budget.nprocs = 2;
     budget.optReadMaxRetries = 0;
     EXPECT_DEATH({ Cluster cluster(budget); }, "home reads are retired");
+}
+
+// ---------------------------------------------------------------------
+// The knob table (core/config.cc): ClusterConfig::resolved().
+
+/** The environment variables the knob table reads. */
+const char *const kTableVariables[] = {
+    "DSM_THREADS", "DSM_LOCK_FAIRNESS", "DSM_HOME_LAST_WRITER",
+    "DSM_HOME_PINGPONG", "DSM_HOME_DEFER", "DSM_REPLY_BYPASS",
+    "DSM_BLOCKING_DEQ", "DSM_FAULT_SEED", "DSM_FAULT_MSG_DROP",
+    "DSM_FAULT_KILL_NODE", "DSM_FAULT_KILL_EPOCH", "DSM_FAULT_OUTAGE_NODE",
+    "DSM_FAULT_OUTAGE_EPOCH", "DSM_FAULT_OUTAGE_MS", "DSM_FD_DEADLINE_MS",
+    "DSM_CKPT_DIR", "DSM_TRANSPORT", "DSM_SOCKET_DIR",
+};
+
+/** Variables the table no longer reads: nothing set them. */
+const char *const kDroppedVariables[] = {
+    "DSM_LOCK_FAIRNESS_ADAPT", "DSM_CKPT_EVERY", "DSM_CKPT_DELTA",
+    "DSM_CKPT_ANCHOR", "DSM_FAULT_RTO_FIRST_US", "DSM_FAULT_RTO_CAP_US",
+};
+
+/** Unsets every table variable (and the dropped ones) for one test and
+ *  restores them afterwards, so a CI leg's environment cannot leak in. */
+class KnobEnvironment
+{
+  public:
+    KnobEnvironment()
+    {
+        for (const char *name : kTableVariables)
+            save(name);
+        for (const char *name : kDroppedVariables)
+            save(name);
+    }
+
+    KnobEnvironment(const KnobEnvironment &) = delete;
+    KnobEnvironment &operator=(const KnobEnvironment &) = delete;
+
+    ~KnobEnvironment()
+    {
+        for (const auto &[name, value] : saved) {
+            if (value)
+                ::setenv(name.c_str(), value->c_str(), 1);
+            else
+                ::unsetenv(name.c_str());
+        }
+    }
+
+    void
+    set(const char *name, const char *value)
+    {
+        ::setenv(name, value, 1);
+    }
+
+  private:
+    void
+    save(const char *name)
+    {
+        const char *value = std::getenv(name);
+        saved.emplace_back(name, value ? std::optional<std::string>(value)
+                                       : std::nullopt);
+        ::unsetenv(name);
+    }
+
+    std::vector<std::pair<std::string, std::optional<std::string>>> saved;
+};
+
+/** Does the resolved record of @p cc hold @p key with @p value? */
+bool
+recordHas(const ClusterConfig &cc, const std::string &key,
+          const std::string &value)
+{
+    const std::string json = cc.resolved().toJson();
+    const std::string field = "\"" + key + "\":" + value;
+    return json.find(field + ",") != std::string::npos ||
+           json.find(field + "}") != std::string::npos;
+}
+
+TEST(KnobTable, EachVariableSetsItsFieldAndAnExplicitFieldBeatsIt)
+{
+    struct Case
+    {
+        const char *env;
+        const char *text;
+        const char *key;
+        const char *fromEnv;
+        /** Arms what the row depends on (may be null). */
+        void (*arm)(ClusterConfig &);
+        void (*pin)(ClusterConfig &);
+        const char *pinned;
+    };
+    const Case cases[] = {
+        {"DSM_THREADS", "3", "threads_per_node", "3", nullptr,
+         [](ClusterConfig &c) { c.threadsPerNode = 2; }, "2"},
+        {"DSM_LOCK_FAIRNESS", "4", "lock_local_handoff_bound", "4", nullptr,
+         [](ClusterConfig &c) { c.lockLocalHandoffBound = 0; }, "0"},
+        {"DSM_HOME_LAST_WRITER", "1", "home_migrate_last_writer", "1",
+         nullptr, [](ClusterConfig &c) { c.homeMigrateLastWriter = 0; },
+         "0"},
+        {"DSM_HOME_PINGPONG", "5", "home_pingpong_limit", "5", nullptr,
+         [](ClusterConfig &c) { c.homePingPongLimit = 0; }, "0"},
+        {"DSM_HOME_DEFER", "1", "home_flush_defer", "1", nullptr,
+         [](ClusterConfig &c) { c.homeFlushDefer = 0; }, "0"},
+        {"DSM_REPLY_BYPASS", "0", "reply_bypass", "0", nullptr,
+         [](ClusterConfig &c) { c.replyBypass = 1; }, "1"},
+        {"DSM_BLOCKING_DEQ", "1", "blocking_dequeue", "1", nullptr,
+         [](ClusterConfig &c) { c.blockingDequeue = 0; }, "0"},
+        {"DSM_FAULT_SEED", "77", "fault_seed", "77", nullptr,
+         [](ClusterConfig &c) { c.faultSeed = 5; }, "5"},
+        {"DSM_FAULT_MSG_DROP", "0.25", "fault_msg_drop", "0.25", nullptr,
+         [](ClusterConfig &c) { c.faultMsgDrop = 0; }, "0"},
+        {"DSM_FAULT_KILL_NODE", "2", "fault_kill_node", "2", nullptr,
+         [](ClusterConfig &c) { c.faultKillNode = 1; }, "1"},
+        {"DSM_FAULT_KILL_EPOCH", "5", "fault_kill_epoch", "5",
+         [](ClusterConfig &c) { c.faultKillNode = 1; },
+         [](ClusterConfig &c) { c.faultKillEpoch = 3; }, "3"},
+        {"DSM_FAULT_OUTAGE_NODE", "2", "fault_outage_node", "2", nullptr,
+         [](ClusterConfig &c) { c.faultOutageNode = 1; }, "1"},
+        {"DSM_FAULT_OUTAGE_EPOCH", "4", "fault_outage_epoch", "4",
+         [](ClusterConfig &c) { c.faultOutageNode = 1; },
+         [](ClusterConfig &c) { c.faultOutageEpoch = 3; }, "3"},
+        {"DSM_FAULT_OUTAGE_MS", "200", "fault_outage_ms", "200", nullptr,
+         [](ClusterConfig &c) { c.faultOutageMs = 150; }, "150"},
+        {"DSM_FD_DEADLINE_MS", "30", "fd_deadline_ms", "30", nullptr,
+         [](ClusterConfig &c) { c.fdDeadlineMs = 0; }, "0"},
+        {"DSM_CKPT_DIR", "/tmp/knob-a", "ckpt_dir", "\"/tmp/knob-a\"",
+         nullptr, [](ClusterConfig &c) { c.ckptDir = "/tmp/knob-b"; },
+         "\"/tmp/knob-b\""},
+        {"DSM_TRANSPORT", "tcp", "transport", "\"tcp\"", nullptr,
+         [](ClusterConfig &c) { c.transport = "socket"; }, "\"socket\""},
+        {"DSM_SOCKET_DIR", "/tmp/knob-s", "socket_dir", "\"/tmp/knob-s\"",
+         nullptr, [](ClusterConfig &c) { c.socketDir = "/tmp/knob-t"; },
+         "\"/tmp/knob-t\""},
+    };
+    ASSERT_EQ(std::size(cases), std::size(kTableVariables));
+    for (const Case &tc : cases) {
+        KnobEnvironment env;
+        ClusterConfig cc;
+        cc.nprocs = 4;
+        if (tc.arm)
+            tc.arm(cc);
+        env.set(tc.env, tc.text);
+        EXPECT_TRUE(recordHas(cc, tc.key, tc.fromEnv))
+            << tc.env << ": " << cc.resolved().toJson();
+        tc.pin(cc);
+        EXPECT_TRUE(recordHas(cc, tc.key, tc.pinned))
+            << tc.env << ": " << cc.resolved().toJson();
+    }
+}
+
+TEST(KnobTable, DerivedDefaults)
+{
+    KnobEnvironment env;
+    ClusterConfig base;
+    base.nprocs = 4;
+    const ClusterConfig plain = base.resolved();
+    EXPECT_EQ(plain.threadsPerNode, 1);
+    EXPECT_EQ(plain.homePingPongLimit, 0);
+    EXPECT_EQ(plain.faultKillEpoch, 0);
+    EXPECT_EQ(plain.faultOutageEpoch, 0);
+    EXPECT_EQ(plain.checkpointEvery, 0);
+    EXPECT_EQ(plain.fdDeadlineMs, 0);
+    EXPECT_EQ(plain.transport, "ring");
+
+    ClusterConfig lastWriter = base;
+    lastWriter.homeMigrateLastWriter = 1;
+    EXPECT_EQ(lastWriter.resolved().homePingPongLimit, 8);
+
+    ClusterConfig kill = base;
+    kill.faultKillNode = 3;
+    EXPECT_EQ(kill.resolved().faultKillEpoch, 2);
+    EXPECT_EQ(kill.resolved().checkpointEvery, 1);
+    EXPECT_EQ(kill.resolved().fdDeadlineMs, 0);
+
+    ClusterConfig outage = base;
+    outage.faultOutageNode = 2;
+    EXPECT_EQ(outage.resolved().faultOutageEpoch, 2);
+    EXPECT_EQ(outage.resolved().checkpointEvery, 1);
+    EXPECT_EQ(outage.resolved().fdDeadlineMs, 50);
+
+    ClusterConfig dir = base;
+    dir.ckptDir = "/tmp/knob-ckpt";
+    EXPECT_EQ(dir.resolved().checkpointEvery, 1);
+
+    // A victim outside the cluster arms nothing.
+    ClusterConfig outside = base;
+    outside.faultKillNode = 9;
+    const ClusterConfig none = outside.resolved();
+    EXPECT_EQ(none.faultKillNode, -1);
+    EXPECT_EQ(none.faultKillEpoch, 0);
+    EXPECT_EQ(none.checkpointEvery, 0);
+
+    // In-process-only features pull a socket tier back to the ring.
+    ClusterConfig socket = kill;
+    socket.transport = "socket";
+    std::string fallback;
+    EXPECT_EQ(socket.resolved(&fallback).transport, "ring");
+    EXPECT_EQ(fallback,
+              "transport 'socket' falls back to 'ring': checkpointing "
+              "runs in-process only");
+}
+
+TEST(KnobTable, BadEnvironmentTextIsFatalAndNamesTheVariable)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"DSM_FAULT_KILL_NODE", "x"}, {"DSM_LOCK_FAIRNESS", "four"},
+        {"DSM_HOME_DEFER", "2"},      {"DSM_THREADS", "0"},
+        {"DSM_TRANSPORT", "udp"},
+    };
+    for (const auto &[name, text] : cases) {
+        KnobEnvironment env;
+        env.set(name, text);
+        EXPECT_DEATH({ ClusterConfig().resolved(); }, name);
+    }
+}
+
+TEST(KnobTable, DroppedVariablesLeaveTheDefaults)
+{
+    KnobEnvironment env;
+    for (const char *name : kDroppedVariables)
+        env.set(name, "3");
+    const ClusterConfig cc = ClusterConfig().resolved();
+    EXPECT_EQ(cc.lockFairnessAdaptive, 0);
+    EXPECT_EQ(cc.checkpointEvery, 0);
+    EXPECT_EQ(cc.ckptDelta, 0);
+    EXPECT_EQ(cc.ckptAnchorEvery, 8);
+    EXPECT_EQ(cc.faultRtoFirstUs, 2000);
+    EXPECT_EQ(cc.faultRtoCapUs, 500000);
 }
 
 TEST(CostModel, TransitIsAffine)

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "net/endpoint.hh"
 #include "net/network.hh"
@@ -283,6 +285,34 @@ TEST_F(EndpointTest, BypassedDuplicateReply)
     EXPECT_EQ(stats[1].repliesBypassed + stats[1].replyBypassRefusals,
               2u * kRounds);
     EXPECT_GE(stats[1].repliesBypassed, 1u);
+}
+
+TEST_F(EndpointTest, FaultPathCallerWakesOnTheReply)
+{
+    // Seeded regression: the fault-tolerant path parks a droppable
+    // request's caller on a raw futex with its retransmit deadline.
+    // The reply must wake that futex. A wake the waiter cannot see left
+    // the caller asleep until the deadline, which then resent the
+    // request: a spurious retransmit per call, and a deadline-long
+    // stall per call once the failure detector stretches the wait.
+    eps[1]->setHandler([&](Message &msg) {
+        // Let the caller park before the reply lands.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        eps[1]->reply(msg.src, MsgType::BarrierDepart, {},
+                      msg.replyToken);
+    });
+    eps[0]->setHandler([](Message &) {});
+    for (auto &ep : eps) {
+        ep->setFaultsEnabled(true);
+        ep->setRetransmitTimeouts(10'000'000'000ull, 10'000'000'000ull);
+        ep->start();
+    }
+
+    const auto start = std::chrono::steady_clock::now();
+    (void)eps[0]->call(1, MsgType::BarrierArrive, {});
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5));
+    EXPECT_EQ(stats[0].msgRetransmits, 0u);
 }
 
 TEST_F(EndpointTest, BypassedReplyNeverOvertakesHomeMigrateInstall)

@@ -55,7 +55,7 @@ struct ProtocolLeg
      *  failure. */
     int replyBypass = -1;
     int blockingDeq = -1;
-    /** Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT):
+    /** Per-lock adaptive fairness bound (lockFairnessAdaptive):
      *  reshapes hand-off scheduling, never values. */
     bool adaptFair = false;
     /** Cross-page piggybacking on homeless misses (batchDiffFetch):

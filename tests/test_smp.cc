@@ -366,10 +366,10 @@ loadGolden()
 TEST(SmpNodes, T1ParityAgainstPreRefactorGolden)
 {
     // The refactor must be observationally invisible at the old
-    // scenario point: threadsPerNode == 1, legacy GC trigger, legacy
-    // (undecayed) home-migration counters. SOR and SOR+ are the
-    // barrier-separated apps whose protocol counters are reproducible
-    // run to run even in the seed; the golden lists exactly those.
+    // scenario point: threadsPerNode == 1, legacy (undecayed)
+    // home-migration counters. SOR and SOR+ are the barrier-separated
+    // apps whose protocol counters are reproducible run to run even in
+    // the seed; the golden lists exactly those.
     const auto golden = loadGolden();
     ASSERT_FALSE(golden.empty());
 
@@ -379,7 +379,6 @@ TEST(SmpNodes, T1ParityAgainstPreRefactorGolden)
     cc.arenaBytes = 16u << 20;
     cc.pageSize = 4096;
     cc.threadsPerNode = 1;
-    cc.adaptiveGcThreshold = false;
     cc.homeDecayWindow = 0;
     // Sharing-policy knobs pinned to their legacy values, so a
     // policy CI leg's environment (DSM_LOCK_FAIRNESS,

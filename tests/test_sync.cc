@@ -352,7 +352,7 @@ TEST_F(SyncFixture, BarrierHooksMergeAndDistribute)
 }
 
 // ---------------------------------------------------------------------
-// Per-lock adaptive fairness bound (DSM_LOCK_FAIRNESS_ADAPT): each
+// Per-lock adaptive fairness bound (lockFairnessAdaptive): each
 // lock's hand-off bound seeds at 4 (no static k armed), doubles while
 // local runs complete with no remote waiter queued, and halves every
 // time the bound forces a remote grant.
