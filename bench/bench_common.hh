@@ -53,9 +53,8 @@ benchCluster()
         cc.diffGapWords = static_cast<std::uint32_t>(std::atoi(v));
     if (const char *v = std::getenv("DSM_NOTICE"))
         cc.piggybackWriteNotices = std::atoi(v) != 0;
-    // DSM_SIMD=0 and DSM_WIDE_SCAN=0 are read by the scan-kernel
-    // dispatch itself (mem/wide_scan.cc): they pin the wide fallback /
-    // the seed scalar loop process-wide.
+    // DSM_SIMD=0 is read by the scan-kernel dispatch itself
+    // (mem/wide_scan.cc): it pins the wide fallback process-wide.
     // Home-based LRC (LRC-diff only; timestamping stays homeless).
     if (const char *v = std::getenv("DSM_HOME"))
         cc.homeBasedLrc = std::atoi(v) != 0;

@@ -11,9 +11,10 @@
  *    p50/p99 alongside the mean: the bypass mostly compresses the
  *    tail (the reply's futex double hop through the responder's
  *    service thread).
- *  - rpc ablation: the same round trip with the reply bypass forced
- *    off — the reply funnels through the caller's inbox and service
- *    thread like any message.
+ *  - rpc ablation: the same round trip with the caller's reply
+ *    receiver deregistered (as Endpoint::stop does) — every reply
+ *    funnels through the caller's inbox and service thread like any
+ *    message.
  *  - fanin: 7 producer threads blasting one consumer — the batched
  *    diff/timestamp request traffic shape, measuring throughput
  *    (informational: an absolute, host-dependent number).
@@ -56,13 +57,13 @@ rpcRoundTrip(int iters, bool bypass)
     NodeStats stats[2];
     Endpoint a(net, 0, clocks[0], stats[0]);
     Endpoint b(net, 1, clocks[1], stats[1]);
-    a.setReplyBypass(bypass);
-    b.setReplyBypass(bypass);
     b.setHandler([&](Message &msg) {
         b.reply(msg.src, MsgType::LockGrant, {}, msg.replyToken);
     });
     a.setHandler([](Message &) {});
     a.start();
+    if (!bypass)
+        net.setReplyReceiver(0, nullptr); // every reply takes the inbox
     b.start();
 
     // Warm up the path (thread creation, first futex round trips).
@@ -100,7 +101,7 @@ rpcRoundTrip(int iters, bool bypass)
  *  threads and receiver-side bypass are identical to the forked
  *  layout; only the fork is skipped). */
 RpcResult
-rpcRoundTripSocket(int iters, bool bypass)
+rpcRoundTripSocket(int iters)
 {
     CostModel cm;
     const std::string dir = makeRendezvousDir();
@@ -116,8 +117,6 @@ rpcRoundTripSocket(int iters, bool bypass)
         NodeStats stats[2];
         Endpoint a(ta, 0, clocks[0], stats[0]);
         Endpoint b(tb, 1, clocks[1], stats[1]);
-        a.setReplyBypass(bypass);
-        b.setReplyBypass(bypass);
         b.setHandler([&](Message &msg) {
             b.reply(msg.src, MsgType::LockGrant, {}, msg.replyToken);
         });
@@ -207,7 +206,7 @@ main()
 
     const RpcResult rpc_ring = rpcRoundTrip(rpc_iters, true);
     const RpcResult rpc_ring_nobypass = rpcRoundTrip(rpc_iters, false);
-    const RpcResult rpc_socket = rpcRoundTripSocket(rpc_iters, true);
+    const RpcResult rpc_socket = rpcRoundTripSocket(rpc_iters);
     const double fan_ring = faninNsPerMsg(producers, per_producer);
 
     std::printf("%-30s %10s %10s %10s\n", "shape", "mean ns", "p50 ns",

@@ -53,7 +53,7 @@ Cluster::Cluster(const ClusterConfig &config)
     // wins (clusters run sequentially in tests and benches).
     BufferPool::instance().setEnabled(cfg.pooledBuffers);
 
-    net = std::make_unique<Network>(cfg.nprocs, cfg.cost, cfg.lossEveryNth);
+    net = std::make_unique<Network>(cfg.nprocs, cfg.cost);
     if (cfg.blockingDequeue > 0)
         net->setAdaptiveInboxSpin(true);
 
@@ -90,7 +90,6 @@ Cluster::Cluster(const ClusterConfig &config)
         // fault-tolerant request path, drops or not.
         if (faults || detector)
             n->ep.setFaultsEnabled(true);
-        n->ep.setReplyBypass(cfg.replyBypass > 0);
         n->ep.setBlockingDequeue(cfg.blockingDequeue > 0);
         n->ep.setRetransmitTimeouts(
             static_cast<std::uint64_t>(cfg.faultRtoFirstUs) * 1'000,
@@ -318,7 +317,7 @@ Cluster::runChildNode(int rank, const std::string &dir,
     SocketTransport st(rank, cfg.nprocs, cfg.cost,
                        cfg.transport == "tcp" ? SocketKind::Tcp
                                               : SocketKind::Unix,
-                       dir, cfg.lossEveryNth);
+                       dir);
     if (cfg.blockingDequeue > 0)
         st.setAdaptiveInboxSpin(true);
     if (faults)

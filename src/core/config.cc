@@ -154,15 +154,14 @@ const Knob kKnobs[] = {
      "shared arena per node"},
     {"page_size", &C::pageSize, nullptr, {}, 64, 1 << 20,
      "coherence unit in bytes"},
-    {"loss_every_nth", &C::lossEveryNth, nullptr, {}, 0, kNoLimit,
-     "modeled loss of every n-th first transmission (0 = none)"},
+    {"loss_every_nth", &C::lossEveryNth, nullptr, {}, 0, 0,
+     "the modeled stop-and-wait loss is retired (use fault_msg_drop)"},
     {"hierarchical_dirty", &C::hierarchicalDirty, nullptr, {}, 0, 1,
      "page-level + word-level dirty bits for LRC-ci"},
     {"ec_eager_small_twin", &C::ecEagerSmallTwin, nullptr, {}, 0, 1,
      "twin small EC objects at write-lock acquire"},
     {"wide_diff_scan", &C::wideDiffScan, nullptr, {}, 1, 1,
-     "the config switch to the seed scalar scan is retired "
-     "(DSM_WIDE_SCAN=0 pins it process-wide)"},
+     "the config switch to the seed scalar scan is retired"},
     {"diff_gap_words", &C::diffGapWords, nullptr, {}, 0, kIntMax,
      "unchanged words a diff run may bridge"},
     {"batch_diff_fetch", &C::batchDiffFetch, nullptr, {}, 0, 1,
@@ -201,8 +200,8 @@ const Knob kKnobs[] = {
      "optimistic home reads are retired"},
     {"home_flush_defer", &C::homeFlushDefer, "DSM_HOME_DEFER", "0", 0, 1,
      "merge deferred home flushes per home"},
-    {"reply_bypass", &C::replyBypass, "DSM_REPLY_BYPASS", "1", 0, 1,
-     "write replies straight into the caller's slot"},
+    {"reply_bypass", &C::replyBypass, nullptr, {}, 1, 1,
+     "the reply-bypass-off switch is retired"},
     {"blocking_dequeue", &C::blockingDequeue, "DSM_BLOCKING_DEQ", "0", 0, 1,
      "park idle polls on the activity futex"},
     {"coalesce_sends", &C::coalesceSends, nullptr, {}, 0, 0,

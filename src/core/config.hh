@@ -85,11 +85,7 @@ struct ClusterConfig
     std::size_t pageSize = 4096;
     CostModel cost;
 
-    /**
-     * Simulate an unreliable AAL3/4 substrate: the first transmission
-     * of every n-th message is lost and recovered by the modeled
-     * retransmission protocol. 0 disables losses.
-     */
+    /** Retired modeled stop-and-wait loss: only 0 is accepted. */
     std::uint64_t lossEveryNth = 0;
 
     /**
@@ -111,7 +107,7 @@ struct ClusterConfig
     // --- Fast-path memory pipeline (ablatable against the seed paths).
 
     /** Retired: only true is accepted. The scan kernel is process-wide
-     *  (bestScanKernel); DSM_WIDE_SCAN=0 pins the seed scalar loop. */
+     *  (bestScanKernel). */
     bool wideDiffScan = true;
 
     /**
@@ -267,19 +263,10 @@ struct ClusterConfig
      */
     int homeFlushDefer = -1;
 
-    // --- Latency-path layer: reply-bypass delivery and adaptive
-    // blocking dequeue.
+    // --- Latency-path layer: adaptive blocking dequeue.
 
-    /**
-     * Reply-bypass delivery: RPC replies are written straight into
-     * the blocked caller's futex reply slot, skipping the receiver's
-     * service-thread MPSC hop, guarded by a per-(src, dst) outstanding
-     * -inbox-message counter so a bypassed reply can never overtake an
-     * earlier inbox message from the same peer (HomeMigrate installs,
-     * LockForward chains). On by default. Counted by repliesBypassed /
-     * replyBypassRefusals.
-     */
-    int replyBypass = -1;
+    /** Retired reply-bypass-off switch: only 1 is accepted. */
+    int replyBypass = 1;
 
     /**
      * Adaptive blocking dequeue: app-level receive polls (the QS

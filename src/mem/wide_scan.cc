@@ -512,13 +512,8 @@ ScanKernel
 bestScanKernel()
 {
     static const ScanKernel kBest = [] {
-        // DSM_WIDE_SCAN=0 pins the seed scalar loop process-wide and
-        // DSM_SIMD=0 the wide memcmp fallback — the two CI legs that
-        // prove each fallback tier under the full test suite.
-        if (const char *v = std::getenv("DSM_WIDE_SCAN");
-            v && std::atoi(v) == 0) {
-            return ScanKernel::Scalar;
-        }
+        // DSM_SIMD=0 pins the wide memcmp fallback process-wide — the
+        // CI leg that proves that tier under the full test suite.
         if (const char *v = std::getenv("DSM_SIMD");
             v && std::atoi(v) == 0) {
             return ScanKernel::Wide;

@@ -9,21 +9,21 @@
  * of the paper's twinning implementations), and three kernels emit
  * byte-identical word runs:
  *
- *  - Scalar: the seed per-word memcmp loop (ablation baseline).
+ *  - Scalar: the seed per-word memcmp loop — the tests' reference,
+ *            never dispatched.
  *  - Wide:   memcmp-chunked clean skipping + 64-bit loads (PR 1).
  *  - Simd:   explicit AVX2 (x86-64) / NEON (aarch64) compares, 8 words
  *            per vector step, accelerating both clean skipping and —
  *            unlike Wide — the dense-page findSameWord walk.
  *
  * Kernel selection is a runtime decision: bestScanKernel() probes the
- * CPU once and honours two env pins — DSM_SIMD=0 selects the Wide
- * fallback, DSM_WIDE_SCAN=0 the seed Scalar loop — so ctest legs can
- * prove each fallback tier process-wide. The Simd entry points fall
- * back to Wide internally on CPUs without the required extensions, so
- * requesting Simd is always safe. Build-side, the CMake option
- * DSM_MARCH adds architecture flags (e.g. -march=native); the AVX2
- * kernels do not need it (they carry a target attribute) but the rest
- * of the scan code can profit from it.
+ * CPU once and honours one env pin — DSM_SIMD=0 selects the Wide
+ * fallback — so a ctest leg can prove that tier process-wide. The
+ * Simd entry points fall back to Wide internally on CPUs without the
+ * required extensions, so requesting Simd is always safe. Build-side,
+ * the CMake option DSM_MARCH adds architecture flags (e.g.
+ * -march=native); the AVX2 kernels do not need it (they carry a target
+ * attribute) but the rest of the scan code can profit from it.
  */
 
 #ifndef DSM_MEM_WIDE_SCAN_HH
@@ -43,7 +43,7 @@ inline constexpr std::uint32_t kScanWordBytes = 4;
  *  identical word-granularity results; only the cost differs. */
 enum class ScanKernel : std::uint8_t
 {
-    Scalar, ///< seed per-word memcmp loop
+    Scalar, ///< seed per-word memcmp loop (test reference)
     Wide,   ///< 64-bit loads + memcmp chunk skipping (PR 1)
     Simd,   ///< explicit AVX2/NEON kernels with runtime dispatch
 };
@@ -57,8 +57,8 @@ bool cpuHasSimdScan();
 /**
  * The kernel every scan site uses: Simd when the CPU supports it and
  * the environment does not veto it, Wide otherwise. DSM_SIMD=0 pins
- * Wide and DSM_WIDE_SCAN=0 the seed Scalar loop — the CI legs that
- * prove each fallback. Resolved once per process.
+ * Wide — the CI leg that proves the fallback. Never Scalar. Resolved
+ * once per process.
  */
 ScanKernel bestScanKernel();
 

@@ -60,13 +60,6 @@ Endpoint::setFaultsEnabled(bool enabled)
 }
 
 void
-Endpoint::setReplyBypass(bool on)
-{
-    DSM_ASSERT(!running.load(), "bypass flipped while running");
-    bypassOn = on;
-}
-
-void
 Endpoint::setBlockingDequeue(bool on)
 {
     DSM_ASSERT(!running.load(), "blocking dequeue flipped while running");
@@ -118,8 +111,7 @@ Endpoint::start()
     // race exactly once — the winner fills the slot, the loser drains
     // through the service thread's duplicate handling (see the
     // BypassedDuplicateReply regression test).
-    if (bypassOn)
-        net->setReplyReceiver(id, this);
+    net->setReplyReceiver(id, this);
     serviceThread = std::thread([this] { serviceLoop(); });
 }
 
@@ -320,7 +312,7 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
             retry.attempt = static_cast<std::uint8_t>(
                 std::min<std::uint32_t>(attempts, 255));
             retry.payload = retransmit_copy;
-            stats().msgRetransmits++;
+            stats().retransmissions++;
             net->send(std::move(retry), stats());
             deadline_ns = std::min(deadline_ns * 2, retransmitCapNs);
         }

@@ -157,12 +157,6 @@ class Endpoint : public ReplyReceiver
     bool tryDeliverReply(Message &msg) override;
 
     /**
-     * Arm/disarm reply-bypass delivery for this node (default on:
-     * DSM_REPLY_BYPASS resolves to 1). Must be set before start().
-     */
-    void setReplyBypass(bool on);
-
-    /**
      * Arm the adaptive blocking-dequeue support (DSM_BLOCKING_DEQ):
      * every dispatched message bumps the endpoint's activity word so
      * app-level receive polls (Runtime::pollIdle) can park on it
@@ -301,8 +295,6 @@ class Endpoint : public ReplyReceiver
 
     /** Fault-tolerant request path armed (see setFaultsEnabled). */
     bool faultsOn = false;
-    /** Reply-bypass delivery armed (see setReplyBypass). */
-    bool bypassOn = true;
     /** Blocking-dequeue activity signalling armed. */
     bool blockingDeqOn = false;
 

@@ -5,8 +5,8 @@
 namespace dsm {
 
 Network::Network(int nnodes, const CostModel &cost_model,
-                 std::uint64_t loss_every_nth, std::size_t ring_capacity)
-    : cm(cost_model), lossEveryNth(loss_every_nth)
+                 std::size_t ring_capacity)
+    : cm(cost_model)
 {
     DSM_ASSERT(nnodes > 0, "network needs at least one node");
     inboxes.reserve(nnodes);
@@ -27,8 +27,7 @@ Network::send(Message &&msg, NodeStats &sender_stats)
                msg.src);
     DSM_ASSERT(msg.type != MsgType::Invalid, "untyped message");
 
-    chargeModeledWire(msg, nextSeq.fetch_add(1), lossEveryNth, cm,
-                      sender_stats);
+    chargeModeledWire(msg, cm, sender_stats);
     accepted.fetch_add(1);
 
     // Fault-injection layer: the message went on the (modeled) wire —

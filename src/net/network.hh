@@ -2,14 +2,10 @@
  * @file
  * The simulated cluster interconnect. Reliable in-order delivery per
  * sender/receiver pair over per-node inboxes; a configurable cost model
- * computes virtual arrival times. An optional modeled loss rate
- * (lossEveryNth) simulates the paper's unreliable AAL3/4 substrate:
- * dropped transmissions are recovered by a modeled stop-and-wait
- * retransmission (counted and charged with the retransmission
- * timeout), after which the message is delivered — so correctness is
- * never affected, only cost, exactly like the "operation-specific
- * user-level protocols to insure delivery" described in Section 6 of
- * the paper.
+ * computes virtual arrival times. Real loss is the fault injector's
+ * (net/fault_injector.hh): it drops messages and the Endpoint
+ * retransmits, as the paper's "operation-specific user-level
+ * protocols to insure delivery" do (Section 6).
  *
  * Each node's inbox is a bounded lock-free MPSC ring
  * (net/mpsc_ring.hh — futex-parked consumer, no mutex on the send
@@ -43,21 +39,18 @@ class Network final : public Transport
     /**
      * @param nnodes Number of nodes.
      * @param costModel Timing constants for transit computation.
-     * @param lossEveryNth Modeled loss rate (see chargeModeledWire);
-     *        0 = lossless.
      * @param ringCapacity Slots per inbox ring.
      */
     Network(int nnodes, const CostModel &costModel,
-            std::uint64_t lossEveryNth = 0,
             std::size_t ringCapacity = MpscRing::kDefaultCapacity);
 
     /**
      * Send @p msg (src/dst/vtSendNs must be filled in). Computes the
-     * arrival virtual time, simulates losses/retransmissions, and
-     * enqueues into the destination inbox. Thread safe.
+     * arrival virtual time and enqueues into the destination inbox.
+     * Thread safe.
      *
-     * @param senderStats Counters of the sending node (bytes/messages/
-     *        retransmissions are recorded there).
+     * @param senderStats Counters of the sending node (bytes and
+     *        messages are recorded there).
      */
     void send(Message &&msg, NodeStats &senderStats) override;
 
@@ -151,7 +144,7 @@ class Network final : public Transport
 
     const CostModel &costModel() const override { return cm; }
 
-    /** Total messages accepted (including retransmitted ones once). */
+    /** Total messages accepted. */
     std::uint64_t totalMessages() const override;
 
   private:
@@ -177,11 +170,9 @@ class Network final : public Transport
     };
 
     CostModel cm;
-    std::uint64_t lossEveryNth;
     FaultInjector *faults = nullptr; ///< not owned; null = layer off
     std::vector<std::unique_ptr<Inbox>> inboxes;
     std::vector<std::unique_ptr<ReceiverSlot>> replySlots;
-    std::atomic<std::uint64_t> nextSeq{1};
     std::atomic<std::uint64_t> accepted{0};
     /** Per-(src, dst) count of inbox messages accepted but not yet
      *  fully dispatched — the reply-bypass ordering guard. */

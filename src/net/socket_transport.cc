@@ -40,10 +40,9 @@ readSome(int fd, std::byte *buf, std::size_t cap)
 SocketTransport::SocketTransport(NodeId self, int nnodes,
                                  const CostModel &cost_model,
                                  SocketKind kind, std::string dir_,
-                                 std::uint64_t loss_every_nth,
                                  std::size_t ring_capacity)
-    : cm(cost_model), lossEveryNth(loss_every_nth), id(self),
-      numNodes(nnodes), sockKind(kind), dir(std::move(dir_))
+    : cm(cost_model), id(self), numNodes(nnodes), sockKind(kind),
+      dir(std::move(dir_))
 {
     DSM_ASSERT(nnodes > 0, "transport needs at least one node");
     DSM_ASSERT(self >= 0 && self < nnodes, "bad self id %d", self);
@@ -354,8 +353,7 @@ SocketTransport::send(Message &&msg, NodeStats &sender_stats)
     DSM_ASSERT(msg.type != MsgType::Invalid, "untyped message");
 
     // Identical modeled wire to the in-process tier.
-    chargeModeledWire(msg, nextSeq.fetch_add(1), lossEveryNth, cm,
-                      sender_stats);
+    chargeModeledWire(msg, cm, sender_stats);
     accepted.fetch_add(1);
 
     // Send-side fault injection, exactly as on tier 0: the message

@@ -67,7 +67,6 @@ class SocketTransport final : public Transport
      */
     SocketTransport(NodeId self, int nnodes, const CostModel &costModel,
                     SocketKind kind, std::string dir,
-                    std::uint64_t lossEveryNth = 0,
                     std::size_t ringCapacity = MpscRing::kDefaultCapacity);
     ~SocketTransport() override;
 
@@ -140,7 +139,6 @@ class SocketTransport final : public Transport
     std::string listenPath() const;
 
     CostModel cm;
-    std::uint64_t lossEveryNth;
     NodeId id;
     int numNodes;
     SocketKind sockKind;
@@ -182,7 +180,6 @@ class SocketTransport final : public Transport
     int hellosSeen = 0;
     std::vector<std::uint8_t> goodbyeRound; ///< highest round per peer
 
-    std::atomic<std::uint64_t> nextSeq{1};
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<bool> closing{false};
 };

@@ -5,19 +5,11 @@
 namespace dsm {
 
 void
-chargeModeledWire(Message &msg, std::uint64_t seq,
-                  std::uint64_t loss_every_nth, const CostModel &cm,
+chargeModeledWire(Message &msg, const CostModel &cm,
                   NodeStats &sender_stats)
 {
     const std::size_t bytes = msg.wireSize();
-    std::uint64_t depart = msg.vtSendNs;
-    if (loss_every_nth > 0 && seq % loss_every_nth == 0) {
-        depart += cm.retransTimeoutNs;
-        sender_stats.retransmissions++;
-        sender_stats.messagesSent++;
-        sender_stats.bytesSent += bytes;
-    }
-    msg.vtArriveNs = depart + cm.transitNs(bytes);
+    msg.vtArriveNs = msg.vtSendNs + cm.transitNs(bytes);
     sender_stats.messagesSent++;
     sender_stats.bytesSent += bytes;
 }

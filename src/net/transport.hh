@@ -46,15 +46,8 @@ namespace dsm {
 /**
  * The modeled wire both tiers charge a send with: stamp @p msg's
  * virtual arrival time and count the transmission in @p senderStats.
- * With @p lossEveryNth > 0 the first attempt of every message whose
- * transport sequence number @p seq is a multiple of it is lost (the
- * paper's unreliable AAL3/4 substrate); the stop-and-wait retry
- * departs one retransmission timeout later, is counted as a
- * retransmission, and always gets through. Deterministic in @p seq,
- * so runs stay reproducible.
  */
-void chargeModeledWire(Message &msg, std::uint64_t seq,
-                       std::uint64_t lossEveryNth, const CostModel &cm,
+void chargeModeledWire(Message &msg, const CostModel &cm,
                        NodeStats &senderStats);
 
 /**
@@ -95,11 +88,11 @@ class Transport
 
     /**
      * Send @p msg (src/dst/vtSendNs must be filled in). Computes the
-     * arrival virtual time, simulates losses/retransmissions, and
-     * delivers toward the destination inbox. Thread safe.
+     * arrival virtual time and delivers toward the destination inbox.
+     * Thread safe.
      *
-     * @param senderStats Counters of the sending node (bytes/messages/
-     *        retransmissions are recorded there).
+     * @param senderStats Counters of the sending node (bytes and
+     *        messages are recorded there).
      */
     virtual void send(Message &&msg, NodeStats &senderStats) = 0;
 

@@ -59,9 +59,6 @@ struct CostModel
      *  including a floating-point operation at 40 MHz). */
     std::uint64_t workUnitNs = 25;
 
-    /** Simulated retransmission timeout for the lossy-network mode. */
-    std::uint64_t retransTimeoutNs = 2'000'000;
-
     /** One-way transit time of a message of @p bytes total size. */
     std::uint64_t
     transitNs(std::size_t bytes) const

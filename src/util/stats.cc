@@ -66,7 +66,6 @@ forEachField(Stats &s, Fn fn)
     fn("rebinds", s.rebinds);
     fn("checkpointsTaken", s.checkpointsTaken);
     fn("recoveryReplays", s.recoveryReplays);
-    fn("msgRetransmits", s.msgRetransmits);
     fn("peerDownDetections", s.peerDownDetections);
     fn("peerDownRecoveries", s.peerDownRecoveries);
     fn("peerUnavailableRetries", s.peerUnavailableRetries);

@@ -31,10 +31,12 @@ struct NodeStats
     std::uint64_t messagesReceived = 0;
     std::uint64_t bytesSent = 0;
     std::uint64_t bytesReceived = 0;
+    /** Request retransmissions by the Endpoint deadline path after a
+     *  fault-injected drop (or a reply slower than the deadline). */
     std::uint64_t retransmissions = 0;
     /** Replies delivered straight into the blocked caller's futex
-     *  reply slot, skipping the receiver's service-thread inbox hop
-     *  (DSM_REPLY_BYPASS). Counted at the sending node. */
+     *  reply slot, skipping the receiver's service-thread inbox hop.
+     *  Counted at the sending node. */
     std::uint64_t repliesBypassed = 0;
     /** Bypass attempts refused by the per-pair ordering guard (an
      *  earlier inbox message from the same peer was still in flight)
@@ -139,10 +141,6 @@ struct NodeStats
     /** Kill-and-restore cycles: the node was wiped, restored from its
      *  latest snapshot and replayed the parked inbox forward. */
     std::uint64_t recoveryReplays = 0;
-    /** Request retransmissions by the Endpoint deadline path after a
-     *  fault-injected drop (distinct from `retransmissions`, which
-     *  counts the *modeled* stop-and-wait retries of lossEveryNth). */
-    std::uint64_t msgRetransmits = 0;
     /** Failure-detector transitions this node's service thread
      *  performed: peers declared down after a missed liveness
      *  deadline, and peers revived by a fresh stamp. Each transition

@@ -164,7 +164,7 @@ TEST_P(CheckpointRecovery, ChaosKillIsInvisible)
         const RunOutput reference = runCase(leg, kc, FaultPlan{});
         EXPECT_EQ(reference.result.total.checkpointsTaken, 0u);
         EXPECT_EQ(reference.result.total.recoveryReplays, 0u);
-        EXPECT_EQ(reference.result.total.msgRetransmits, 0u);
+        EXPECT_EQ(reference.result.total.retransmissions, 0u);
         EXPECT_EQ(reference.result.checkpointBytes, 0u);
 
         const RunOutput chaos = runCase(leg, kc, kill);
@@ -297,7 +297,7 @@ TEST(FaultInjection, DropRetransmitRecovers)
         const RunOutput reference = runCase(leg, kc, FaultPlan{});
         const RunOutput got = runCase(leg, kc, drops);
         expectBitIdentical(kc, leg, reference.state, got.state);
-        EXPECT_GT(got.result.total.msgRetransmits, 0u)
+        EXPECT_GT(got.result.total.retransmissions, 0u)
             << leg.label << ": a 15% drop rate retransmitted nothing";
         EXPECT_EQ(got.result.total.recoveryReplays, 0u);
     }

@@ -574,18 +574,23 @@ class DepartureGate final : public Transport
     void
     send(Message &&msg, NodeStats &stats) override
     {
-        const bool manager_depart =
-            msg.type == MsgType::BarrierDepart && msg.dst == 0;
         const bool manager_arrival =
             msg.type == MsgType::BarrierArrive && msg.src == 0;
+        // Barrier 1 is node 0's second arrival. Decide before sending:
+        // the bypassed departure can let node 0 send its third arrival
+        // before this thread takes the lock below.
+        bool gate_depart = false;
+        if (msg.type == MsgType::BarrierDepart && msg.dst == 0) {
+            std::lock_guard<std::mutex> g(mu);
+            gate_depart = managerArrivals == 2;
+        }
         inner.send(std::move(msg), stats);
         std::unique_lock<std::mutex> g(mu);
         if (manager_arrival) {
             ++managerArrivals;
             cv.notify_all();
         }
-        // Barrier 1 is node 0's second arrival.
-        if (manager_depart && managerArrivals == 2) {
+        if (gate_depart) {
             gateHeld = cv.wait_for(g, std::chrono::seconds(10),
                                    [&] { return managerArrivals == 3; });
         }
@@ -675,7 +680,6 @@ struct GateNode
         deps.nodeLocks = &nlocks;
         deps.cluster = &cc;
         rt = std::make_unique<LrcRuntime>(deps);
-        ep.setReplyBypass(true);
         ep.setHandler([this](Message &msg) {
             if (msg.type == MsgType::BarrierArrive)
                 barriers.handleMessage(msg);

@@ -46,8 +46,8 @@ TEST(Config, UnknownNameIsFatal)
 /** Retired fields are knob-table rows that allow one value; they stay
  *  only because the benchmark in perfbench/ assigns every field. Send
  *  coalescing accepts only 0, the arena-pressure GC trigger only false
- *  and 2048, and the config switch to the seed scalar scan only
- *  true. */
+ *  and 2048, the config switch to the seed scalar scan only true, the
+ *  reply bypass only 1 and the modeled stop-and-wait loss only 0. */
 TEST(Config, RetiredCoalescingIsRejected)
 {
     ClusterConfig cc;
@@ -66,6 +66,16 @@ TEST(Config, RetiredCoalescingIsRejected)
     scan.nprocs = 2;
     scan.wideDiffScan = false;
     EXPECT_DEATH({ Cluster cluster(scan); }, "scalar scan is retired");
+    ClusterConfig bypass;
+    bypass.nprocs = 2;
+    bypass.replyBypass = 0;
+    EXPECT_DEATH({ Cluster cluster(bypass); },
+                 "reply-bypass-off switch is retired");
+    ClusterConfig loss;
+    loss.nprocs = 2;
+    loss.lossEveryNth = 1;
+    EXPECT_DEATH({ Cluster cluster(loss); },
+                 "stop-and-wait loss is retired");
 }
 
 /** Optimistic home reads are retired the same way: only the defaults
@@ -88,17 +98,19 @@ TEST(Config, RetiredOptimisticReadsAreRejected)
 /** The environment variables the knob table reads. */
 const char *const kTableVariables[] = {
     "DSM_THREADS", "DSM_LOCK_FAIRNESS", "DSM_HOME_LAST_WRITER",
-    "DSM_HOME_PINGPONG", "DSM_HOME_DEFER", "DSM_REPLY_BYPASS",
-    "DSM_BLOCKING_DEQ", "DSM_FAULT_SEED", "DSM_FAULT_MSG_DROP",
+    "DSM_HOME_PINGPONG", "DSM_HOME_DEFER", "DSM_BLOCKING_DEQ",
+    "DSM_FAULT_SEED", "DSM_FAULT_MSG_DROP",
     "DSM_FAULT_KILL_NODE", "DSM_FAULT_KILL_EPOCH", "DSM_FAULT_OUTAGE_NODE",
     "DSM_FAULT_OUTAGE_EPOCH", "DSM_FAULT_OUTAGE_MS", "DSM_FD_DEADLINE_MS",
     "DSM_CKPT_DIR", "DSM_TRANSPORT", "DSM_SOCKET_DIR",
 };
 
-/** Variables the table no longer reads: nothing set them. */
+/** Variables the table no longer reads: nothing set them, or their
+ *  row is retired. */
 const char *const kDroppedVariables[] = {
     "DSM_LOCK_FAIRNESS_ADAPT", "DSM_CKPT_EVERY", "DSM_CKPT_DELTA",
     "DSM_CKPT_ANCHOR", "DSM_FAULT_RTO_FIRST_US", "DSM_FAULT_RTO_CAP_US",
+    "DSM_REPLY_BYPASS",
 };
 
 /** Unsets every table variable (and the dropped ones) for one test and
@@ -182,8 +194,6 @@ TEST(KnobTable, EachVariableSetsItsFieldAndAnExplicitFieldBeatsIt)
          [](ClusterConfig &c) { c.homePingPongLimit = 0; }, "0"},
         {"DSM_HOME_DEFER", "1", "home_flush_defer", "1", nullptr,
          [](ClusterConfig &c) { c.homeFlushDefer = 0; }, "0"},
-        {"DSM_REPLY_BYPASS", "0", "reply_bypass", "0", nullptr,
-         [](ClusterConfig &c) { c.replyBypass = 1; }, "1"},
         {"DSM_BLOCKING_DEQ", "1", "blocking_dequeue", "1", nullptr,
          [](ClusterConfig &c) { c.blockingDequeue = 0; }, "0"},
         {"DSM_FAULT_SEED", "77", "fault_seed", "77", nullptr,
@@ -307,6 +317,7 @@ TEST(KnobTable, DroppedVariablesLeaveTheDefaults)
     EXPECT_EQ(cc.ckptAnchorEvery, 8);
     EXPECT_EQ(cc.faultRtoFirstUs, 2000);
     EXPECT_EQ(cc.faultRtoCapUs, 500000);
+    EXPECT_EQ(cc.replyBypass, 1);
 }
 
 TEST(CostModel, TransitIsAffine)

@@ -48,12 +48,10 @@ struct ProtocolLeg
     int fairness = 0;
     bool lastWriter = false;
     bool deferFlush = false;
-    /** Latency-path legs (PR 9): -1 keeps the env sentinel (so the
-     *  DSM_REPLY_BYPASS / DSM_BLOCKING_DEQ CI sweeps flip the whole
-     *  grid), 0/1 forces the knob for this leg. Both change only
-     *  where wall-clock goes — any byte they move is a conformance
-     *  failure. */
-    int replyBypass = -1;
+    /** Latency-path leg (PR 9): -1 keeps the env sentinel (so the
+     *  DSM_BLOCKING_DEQ CI sweep flips the whole grid), 0/1 forces
+     *  the knob for this leg. It changes only where wall-clock goes —
+     *  any byte it moves is a conformance failure. */
     int blockingDeq = -1;
     /** Per-lock adaptive fairness bound (lockFairnessAdaptive):
      *  reshapes hand-off scheduling, never values. */
@@ -78,21 +76,15 @@ const ProtocolLeg kLegs[] = {
     {"LRC_home_lastwriter", "LRC-diff", true, true, 0, true},
     {"LRC_home_defer", "LRC-diff", true, true, 0, false, true},
     {"LRC_home_allpolicies", "LRC-diff", true, true, 4, true, true},
-    // Latency-path legs (PR 9). Reply bypass defaults *on*, so the
-    // interesting forced leg is bypass-off (the reference implicitly
-    // covers bypass-on); blocking dequeue and adaptive fairness
-    // default off, so each gets a forced-on leg. Home-based legs
-    // matter most for the bypass ordering guard (migrate installs
-    // racing bypassed replies).
-    {"EC_nobypass", "EC-diff", false, true, 0, false, false, 0},
-    {"LRC_home_nobypass", "LRC-diff", true, true, 0, false, false, 0},
-    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, -1, 1},
-    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false,
-     -1, 1},
+    // Latency-path legs (PR 9). Blocking dequeue and adaptive
+    // fairness default off, so each gets a forced-on leg; the reply
+    // bypass is always on, so every leg covers it.
+    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, 1},
+    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false, 1},
     {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, -1,
-     -1, true},
+     true},
     {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true, 1,
-     1, true},
+     true},
     // The batched miss protocol without cross-page piggybacking, once
     // per collection method.
     {.label = "LRC_nobatch",
@@ -133,7 +125,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.lockLocalHandoffBound = leg.fairness;
     cc.homeMigrateLastWriter = leg.lastWriter ? 1 : 0;
     cc.homeFlushDefer = leg.deferFlush ? 1 : 0;
-    cc.replyBypass = leg.replyBypass;
     cc.blockingDequeue = leg.blockingDeq;
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;

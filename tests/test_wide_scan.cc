@@ -251,17 +251,13 @@ TEST(WideScan, DiffCreateIdenticalAcrossKernels)
 
 TEST(WideScan, DispatchReportsKernel)
 {
-    // bestScanKernel honours the env pins (the CI fallback legs) and
-    // otherwise never hands out Scalar.
+    // bestScanKernel never hands out Scalar (the tests' reference)
+    // and honours the DSM_SIMD=0 pin (the CI fallback leg).
     const ScanKernel best = bestScanKernel();
-    const char *wide_env = std::getenv("DSM_WIDE_SCAN");
+    EXPECT_NE(best, ScanKernel::Scalar);
     const char *simd_env = std::getenv("DSM_SIMD");
-    if (wide_env && std::atoi(wide_env) == 0)
-        EXPECT_EQ(best, ScanKernel::Scalar);
-    else if (simd_env && std::atoi(simd_env) == 0)
+    if (simd_env && std::atoi(simd_env) == 0)
         EXPECT_EQ(best, ScanKernel::Wide);
-    else
-        EXPECT_NE(best, ScanKernel::Scalar);
     EXPECT_STREQ(toString(ScanKernel::Scalar), "scalar");
     EXPECT_STREQ(toString(ScanKernel::Wide), "wide");
     EXPECT_STREQ(toString(ScanKernel::Simd), "simd");
