@@ -1135,8 +1135,10 @@ LrcRuntime::fetchDiffs(PageId page)
     std::lock_guard<std::mutex> g(nl->core);
     for (FetchedDiff &f : fetched) {
         PageMeta &m = meta(f.page);
-        if (f.idx <= m.copyVt[f.proc])
-            continue; // duplicate from another responder
+        if (f.idx <= m.copyVt[f.proc]) {
+            stats().diffsDiscarded++; // another responder sent it too
+            continue;
+        }
         {
             std::lock_guard<std::mutex> sg(nl->shardFor(f.page));
             std::byte *base = arena->at(arena->pageBase(f.page));

@@ -48,6 +48,7 @@ forEachField(Stats &s, Fn fn)
     fn("accessMisses", s.accessMisses);
     fn("diffRequestsSent", s.diffRequestsSent);
     fn("diffPagesPiggybacked", s.diffPagesPiggybacked);
+    fn("diffsDiscarded", s.diffsDiscarded);
     fn("tsRequestsSent", s.tsRequestsSent);
     fn("tsPagesPiggybacked", s.tsPagesPiggybacked);
     fn("noticesPiggybacked", s.noticesPiggybacked);

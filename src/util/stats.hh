@@ -101,6 +101,10 @@ struct NodeStats
     std::uint64_t accessMisses = 0;
     std::uint64_t diffRequestsSent = 0;
     std::uint64_t diffPagesPiggybacked = 0;
+    /** Fetched diffs dropped unapplied because the page copy already
+     *  held their interval (another reply of the same miss carried
+     *  them too): bytes the wire carried for nothing. */
+    std::uint64_t diffsDiscarded = 0;
     std::uint64_t tsRequestsSent = 0;
     std::uint64_t tsPagesPiggybacked = 0;
     /** Write notices (record x page) appended to fetch replies. */
