@@ -1,6 +1,7 @@
 #include "core/lrc_runtime.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <span>
 
@@ -1047,6 +1048,71 @@ sortForApply(std::vector<FetchedDiff> &fetched)
 
 } // namespace
 
+VectorTime
+LrcRuntime::BatchPageReq::askedOf(NodeId q) const
+{
+    VectorTime v = need;
+    v[q] = copyVt[q];
+    for (const auto &[writer, server] : served) {
+        if (server == q)
+            v[writer] = copyVt[writer];
+    }
+    return v;
+}
+
+void
+LrcRuntime::pendingWriters(const PageMeta &m, bool route,
+                           PendingWriters &pw) const
+{
+    pw.pending = 0;
+    for (const auto &[proc, idx] : m.notices) {
+        if (idx <= m.copyVt[proc])
+            continue;
+        const std::uint64_t bit = std::uint64_t{1} << proc;
+        pw.top[proc] =
+            (pw.pending & bit) ? std::max(pw.top[proc], idx) : idx;
+        pw.pending |= bit;
+    }
+    pw.asked = pw.pending;
+    if (!route)
+        return;
+    // Each writer's latest pending record; one this node never saw or
+    // GC pruned dominates nothing (its writer is simply asked).
+    std::array<const IntervalRec *, 64> rec;
+    for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
+        const NodeId w = std::countr_zero(ws);
+        rec[w] = ilog.find(w, pw.top[w]);
+    }
+    const auto dominates = [&](NodeId w, NodeId u) {
+        return w != u && rec[w] && rec[w]->vt[u] >= pw.top[u];
+    };
+    const auto first_dominator = [&](NodeId u, std::uint64_t among) {
+        for (; among != 0; among &= among - 1) {
+            const NodeId w = std::countr_zero(among);
+            if (dominates(w, u))
+                return w;
+        }
+        return NodeId{-1};
+    };
+    for (std::uint64_t us = pw.pending; us != 0; us &= us - 1) {
+        const NodeId u = std::countr_zero(us);
+        if (first_dominator(u, pw.pending) >= 0)
+            pw.asked &= ~(std::uint64_t{1} << u);
+    }
+    // Record vectors are causally closed, so domination is transitive
+    // and acyclic: every dominated writer has an undominated one above
+    // it.
+    for (std::uint64_t us = pw.pending & ~pw.asked; us != 0;
+         us &= us - 1) {
+        const NodeId u = std::countr_zero(us);
+        pw.server[u] = first_dominator(u, pw.asked);
+        DSM_ASSERT(pw.server[u] >= 0,
+                   "writer %d dominated but no undominated writer "
+                   "dominates it",
+                   u);
+    }
+}
+
 void
 LrcRuntime::snapshotBatchTargets(PageId page,
                                  std::vector<NodeId> &responders,
@@ -1058,15 +1124,40 @@ LrcRuntime::snapshotBatchTargets(PageId page,
     log_cov = logCoverage();
     if (global_vt)
         *global_vt = vt;
-    PageMeta &m = meta(page);
+    // Diff mode routes by the interval records' vectors (DESIGN.md
+    // §10). Timestamp responders send current page bytes rather than
+    // stored diffs, so every pending writer is still asked there.
+    const bool route = usesDiffing();
+    std::unique_lock<std::mutex> ig(nl->ilog, std::defer_lock);
+    if (route)
+        ig.lock();
+    PendingWriters pw;
+    const auto add_req = [&](PageId p, const PageMeta &pm) {
+        BatchPageReq pr{p, pm.copyVt};
+        if (route) {
+            pr.need = pm.copyVt;
+            for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
+                const NodeId w = std::countr_zero(ws);
+                pr.need[w] = pw.top[w];
+                if (!(pw.asked >> w & 1))
+                    pr.served.emplace_back(w, pw.server[w]);
+            }
+        }
+        reqs.push_back(std::move(pr));
+    };
+
+    const PageMeta &m = meta(page);
+    pendingWriters(m, route, pw);
+    std::uint64_t asked = 0;
     for (const auto &[proc, idx] : m.notices) {
-        if (idx > m.copyVt[proc] && proc != id &&
-            std::find(responders.begin(), responders.end(), proc) ==
-                responders.end()) {
+        const std::uint64_t bit = std::uint64_t{1} << proc;
+        if (idx > m.copyVt[proc] && proc != id && (pw.asked & bit) &&
+            !(asked & bit)) {
+            asked |= bit;
             responders.push_back(proc);
         }
     }
-    reqs.push_back({page, m.copyVt});
+    add_req(page, m);
     if (!cluster->batchDiffFetch)
         return;
     // Piggyback candidates come from the maintained invalid-page set
@@ -1076,15 +1167,9 @@ LrcRuntime::snapshotBatchTargets(PageId page,
         if (p2 == page)
             continue;
         const PageMeta &m2 = meta(p2);
-        const bool covered = std::all_of(
-            m2.notices.begin(), m2.notices.end(),
-            [&](const auto &notice) {
-                return notice.second <= m2.copyVt[notice.first] ||
-                       std::find(responders.begin(), responders.end(),
-                                 notice.first) != responders.end();
-            });
-        if (covered)
-            reqs.push_back({p2, m2.copyVt});
+        pendingWriters(m2, route, pw);
+        if ((pw.asked & ~asked) == 0)
+            add_req(p2, m2);
     }
 }
 
@@ -1104,7 +1189,7 @@ LrcRuntime::fetchDiffs(PageId page)
         w.putU32(static_cast<std::uint32_t>(reqs.size()));
         for (const BatchPageReq &pr : reqs) {
             w.putU32(pr.page);
-            pr.copyVt.encode(w);
+            pr.askedOf(q).encode(w);
         }
         stats().diffRequestsSent++;
         Message reply = ep->call(q, MsgType::DiffBatchRequest, w.take());

@@ -32,6 +32,7 @@
 #ifndef DSM_CORE_LRC_RUNTIME_HH
 #define DSM_CORE_LRC_RUNTIME_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -171,7 +172,41 @@ class LrcRuntime : public Runtime
     {
         PageId page;
         VectorTime copyVt;
+        /** Diff mode: copyVt joined with the page's pending notices. */
+        VectorTime need{};
+        /** Diff mode: (dominated writer, responder that ships its
+         *  diffs) for each pending writer nobody asks directly. */
+        std::vector<std::pair<NodeId, NodeId>> served{};
+
+        /** The page vector asked of responder @p q: copyVt for q and
+         *  the writers it serves, need for every other writer. So q
+         *  sends what it alone owes plus what the requester has not
+         *  heard of, never a diff another responder ships. */
+        VectorTime askedOf(NodeId q) const;
     };
+
+    /**
+     * One page's pending writers (bit per node) and the latest pending
+     * interval of each. In diff mode a writer u is dominated when
+     * another pending writer's latest pending record knows top[u]
+     * (vt[u] >= top[u]): that writer applied and stored u's diffs
+     * before it wrote the page. asked holds the undominated writers;
+     * server[u] names the first of them that dominates u. Fixed-size
+     * (at most 64 nodes), so scanning a page allocates nothing.
+     */
+    struct PendingWriters
+    {
+        std::uint64_t pending = 0;
+        std::uint64_t asked = 0;
+        std::array<std::uint32_t, 64> top{};
+        std::array<NodeId, 64> server{};
+    };
+
+    /** Fill @p pw from @p m's notices; @p route applies the domination
+     *  rule (else every pending writer is asked). Caller holds
+     *  nl->core, and nl->ilog when routing. */
+    void pendingWriters(const PageMeta &m, bool route,
+                        PendingWriters &pw) const;
 
     // --- Write-notice piggybacking on fetch replies (TreadMarks).
     // Requests advertise the requester's interval-log coverage;
@@ -222,9 +257,9 @@ class LrcRuntime : public Runtime
     void fetchPageData(PageId page);
 
     /** The homeless miss protocol, one per collection method: one
-     *  batched request per pending writer, covering the missed page
-     *  plus (with batchDiffFetch) every other invalid page whose
-     *  pending writers are a subset. */
+     *  batched request per responder (see snapshotBatchTargets),
+     *  covering the missed page plus (with batchDiffFetch) every other
+     *  invalid page those responders cover. */
     void fetchDiffs(PageId page);
     void fetchTimestamps(PageId page);
 
@@ -361,16 +396,17 @@ class LrcRuntime : public Runtime
     };
 
     /**
-     * Snapshot @p page's pending writers into @p responders, and into
-     * @p reqs the page itself plus, with batchDiffFetch, every other
-     * invalid page whose pending writers are a subset (the piggyback
-     * set — those pages become fully consistent from the same round
-     * trips). Also
-     * snapshots the interval-log coverage into @p log_cov and, when
-     * non-null, the global vector into @p global_vt, all under one
-     * acquisition of the node mutex; the snapshot stays valid across
-     * the blocking fetch calls because only the app thread adds or
-     * clears notices.
+     * Snapshot @p page's responders into @p responders: in diff mode
+     * its undominated writers (see PendingWriters), with timestamps
+     * every pending writer. Into @p reqs go the page itself plus, with
+     * batchDiffFetch, every other invalid page whose undominated
+     * (timestamps: all) pending writers are responders — the piggyback
+     * set, which becomes fully consistent from the same round trips.
+     * Also snapshots the interval-log coverage into @p log_cov and,
+     * when non-null, the global vector into @p global_vt, all under
+     * one acquisition of the node mutex; the snapshot stays valid
+     * across the blocking fetch calls because only the app thread adds
+     * or clears notices.
      */
     void snapshotBatchTargets(PageId page,
                               std::vector<NodeId> &responders,

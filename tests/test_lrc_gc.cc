@@ -2,14 +2,20 @@
  * @file
  * Long-run tests for the fast-path memory pipeline: barrier-time
  * garbage collection of interval records and stored diffs (memory
- * stays bounded across many epochs), and the batched diff-fetch
- * protocol (fewer request messages for the same final memory image).
+ * stays bounded across many epochs), the batched diff-fetch protocol
+ * (fewer request messages for the same final memory image), and the
+ * routing of a homeless miss to its undominated writers (each missing
+ * diff crosses the wire once).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
+#include "mem/diff.hh"
 
 namespace dsm {
 namespace {
@@ -248,6 +254,100 @@ TEST(LrcBatch, MultiWriterPagesStayCorrectUnderBatching)
         }
         rt.barrier(2);
     });
+}
+
+// ---------------------------------------------------------------------
+// Routing a homeless miss: only the undominated pending writers are
+// asked, and each diff the requester lacks is shipped by one of them.
+
+/** Wire bytes of a diff of one changed word. */
+constexpr std::uint64_t kOneWordDiffBytes =
+    Diff::kHeaderBytes + Diff::kRunHeaderBytes + Diff::kWordBytes;
+
+/**
+ * A write chain under lock 0: nodes 1, 2 and 3 each write their own
+ * word of one page in that order, so each writer's record knows every
+ * earlier one. Node 0 then takes lock 0 and reads all three words.
+ * Turns are sequenced with a host atomic, so no extra DSM
+ * synchronization leaks records.
+ */
+RunResult
+runWriteChain(const std::string &config)
+{
+    ClusterConfig cc = gcConfig(config, 4);
+    // Host-atomic phases need one address space.
+    cc.transport = "ring";
+    Cluster cluster(cc);
+    std::atomic<int> phase{0};
+    return cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 64);
+        rt.barrier(0);
+        const int self = rt.self();
+        const int turn = self == 0 ? 3 : self - 1;
+        while (phase.load() < turn)
+            std::this_thread::yield();
+        rt.acquire(0, AccessMode::Write);
+        if (self == 0) {
+            for (int w = 1; w <= 3; ++w)
+                EXPECT_EQ(a.get(w), 10 * w);
+        } else {
+            a.set(self, 10 * self);
+        }
+        rt.release(0);
+        phase.store(turn + 1);
+        while (phase.load() < 4)
+            std::this_thread::yield();
+    });
+}
+
+TEST(LrcRouting, ChainAsksOnlyTheLastWriter)
+{
+    RunResult r = runWriteChain("LRC-diff");
+    // Node 3's record knows (1,1) and (2,1), node 2's knows (1,1): the
+    // last writer alone holds every diff the reader lacks. Asking all
+    // pending writers took 3 and 2 requests.
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[3].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[2].diffRequestsSent, 1u);
+    // Needed diffs: (1,1) at node 2; (1,1), (2,1) at node 3; all three
+    // at node 0. Each crosses the wire once (was 10 diffs, 200 B).
+    EXPECT_EQ(r.total.diffBytesSent, 6 * kOneWordDiffBytes);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
+
+    // Timestamp responders send current page bytes, not stored diffs:
+    // that mode still asks every pending writer.
+    RunResult ts = runWriteChain("LRC-time");
+    EXPECT_EQ(ts.perNode[0].tsRequestsSent, 3u);
+    EXPECT_EQ(ts.perNode[3].tsRequestsSent, 2u);
+}
+
+TEST(LrcRouting, ConcurrentWritersShipTheSharedDiffOnce)
+{
+    Cluster cluster(gcConfig("LRC-diff", 4));
+    RunResult r = cluster.run([](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 64);
+        rt.barrier(0);
+        const int self = rt.self();
+        if (self == 1)
+            a.set(1, 10);
+        rt.barrier(1);
+        if (self >= 2) {
+            EXPECT_EQ(a.get(1), 10);
+            a.set(self, 10 * self);
+        }
+        rt.barrier(2);
+        if (self == 0) {
+            for (int w = 1; w <= 3; ++w)
+                EXPECT_EQ(a.get(w), 10 * w);
+        }
+    });
+    // Nodes 2 and 3 both applied (1,1) before writing, so node 0 asks
+    // only them (was all three), and (1,1) comes from node 2 alone.
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 2u);
+    // (1,1) to nodes 2 and 3, then (1,1), (2,1), (3,1) to node 0 (was
+    // 7 diffs, 140 B).
+    EXPECT_EQ(r.total.diffBytesSent, 5 * kOneWordDiffBytes);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
 }
 
 } // namespace
