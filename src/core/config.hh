@@ -121,13 +121,12 @@ struct ClusterConfig
 
     /**
      * Cross-page piggybacking on homeless LRC misses. Every miss
-     * sends one batched request per pending writer (diffs or
-     * timestamp runs, per the collection method); with this on, the
-     * batch also carries every other invalid page whose pending
-     * writers are already being contacted. Off, the batch holds only
-     * the missed page — one round trip per (page, writer), the seed's
-     * message count, at 12 extra wire bytes per round trip (the
-     * batch's page count and page id).
+     * sends one batched request per responder (diffs: the page's
+     * undominated pending writers; timestamp runs: all of them);
+     * with this on, the batch also carries every other invalid page
+     * those responders cover. Off, the batch holds only the missed
+     * page — one round trip per (page, responder), at 12 extra wire
+     * bytes per round trip (the batch's page count and page id).
      */
     bool batchDiffFetch = true;
 

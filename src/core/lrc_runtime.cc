@@ -1056,6 +1056,8 @@ LrcRuntime::BatchPageReq::askedOf(NodeId q) const
     for (const auto &[writer, server] : served) {
         if (server == q)
             v[writer] = copyVt[writer];
+        else if (writer == q)
+            v[q] = need[q]; // dominated on this page: its server ships
     }
     return v;
 }
@@ -1078,7 +1080,7 @@ LrcRuntime::pendingWriters(const PageMeta &m, bool route,
         return;
     // Each writer's latest pending record; one this node never saw or
     // GC pruned dominates nothing (its writer is simply asked).
-    std::array<const IntervalRec *, 64> rec;
+    std::array<const IntervalRec *, 64> rec{};
     for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
         const NodeId w = std::countr_zero(ws);
         rec[w] = ilog.find(w, pw.top[w]);

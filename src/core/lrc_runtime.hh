@@ -178,10 +178,11 @@ class LrcRuntime : public Runtime
          *  diffs) for each pending writer nobody asks directly. */
         std::vector<std::pair<NodeId, NodeId>> served{};
 
-        /** The page vector asked of responder @p q: copyVt for q and
-         *  the writers it serves, need for every other writer. So q
-         *  sends what it alone owes plus what the requester has not
-         *  heard of, never a diff another responder ships. */
+        /** The page vector asked of responder @p q: copyVt for the
+         *  writers q serves and for q itself (unless q is dominated on
+         *  this page), need for every other writer. So q sends what it
+         *  alone owes plus what the requester has not heard of, never
+         *  a needed diff another responder ships. */
         VectorTime askedOf(NodeId q) const;
     };
 

@@ -350,5 +350,55 @@ TEST(LrcRouting, ConcurrentWritersShipTheSharedDiffOnce)
     EXPECT_EQ(r.total.diffsDiscarded, 0u);
 }
 
+TEST(LrcRouting, DominatedResponderLeavesPiggybackedPageToItsServer)
+{
+    // Node 1 writes page 1, then node 2 takes lock 0 from it and writes
+    // pages 1 and 2 in one interval while node 1, after the grant,
+    // writes page 0: on page 0 the two writers are concurrent, on page
+    // 1 node 2's record knows (1,1). Node 0's miss on page 0 asks both
+    // and piggybacks page 1, where node 1 is dominated: node 2 alone
+    // ships (1,1) there.
+    ClusterConfig cc = gcConfig("LRC-diff", 4);
+    cc.batchDiffFetch = true;
+    cc.transport = "ring"; // host-atomic phases below
+    Cluster cluster(cc);
+    std::atomic<int> phase{0};
+    const auto await = [&phase](int p) {
+        while (phase.load() < p)
+            std::this_thread::yield();
+    };
+    RunResult r = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 2 * kIntsPerPage);
+        rt.barrier(0);
+        if (rt.self() == 1) {
+            rt.acquire(0, AccessMode::Write);
+            a.set(kIntsPerPage + 1, 11);
+            rt.release(0);
+            phase.store(1);
+            await(2);
+            a.set(1, 1);
+        } else if (rt.self() == 2) {
+            await(1);
+            rt.acquire(0, AccessMode::Write);
+            a.set(kIntsPerPage + 2, 12);
+            a.set(2, 2);
+            rt.release(0);
+            phase.store(2);
+        }
+        rt.barrier(1);
+        if (rt.self() == 0) {
+            EXPECT_EQ(a.get(1), 1);
+            EXPECT_EQ(a.get(2), 2);
+            EXPECT_EQ(a.get(kIntsPerPage + 1), 11);
+            EXPECT_EQ(a.get(kIntsPerPage + 2), 12);
+        }
+    });
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 2u);
+    EXPECT_EQ(r.perNode[0].diffPagesPiggybacked, 1u);
+    // (1,1) of page 1 to node 2, then four diffs to node 0, each once.
+    EXPECT_EQ(r.total.diffBytesSent, 5 * kOneWordDiffBytes);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
+}
+
 } // namespace
 } // namespace dsm
