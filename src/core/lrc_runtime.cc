@@ -1,6 +1,7 @@
 #include "core/lrc_runtime.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <span>
@@ -1046,29 +1047,34 @@ sortForApply(std::vector<FetchedDiff> &fetched)
               });
 }
 
-} // namespace
-
-VectorTime
-LrcRuntime::BatchPageReq::askedOf(NodeId q) const
+/**
+ * One page's pending writers (bit per node) and the latest pending
+ * interval of each. In diff mode a writer u is dominated when another
+ * pending writer's latest pending record knows top[u] (vt[u] >=
+ * top[u]): that writer applied and stored u's diffs before it wrote
+ * the page. asked holds the undominated writers; server[u] names the
+ * first of them that dominates u. Fixed-size (at most 64 nodes), so
+ * scanning a page allocates nothing.
+ */
+struct PendingWriters
 {
-    VectorTime v = need;
-    v[q] = copyVt[q];
-    for (const auto &[writer, server] : served) {
-        if (server == q)
-            v[writer] = copyVt[writer];
-        else if (writer == q)
-            v[q] = need[q]; // dominated on this page: its server ships
-    }
-    return v;
-}
+    std::uint64_t pending = 0;
+    std::uint64_t asked = 0;
+    std::array<std::uint32_t, 64> top{};
+    std::array<NodeId, 64> server{};
+};
 
+/** Fill @p pw from a page's @p notices and copy vector @p copy_vt.
+ *  @p route applies the domination rule against @p ilog, whose lock
+ *  the caller holds (else every pending writer is asked). */
 void
-LrcRuntime::pendingWriters(const PageMeta &m, bool route,
-                           PendingWriters &pw) const
+pendingWriters(const std::vector<std::pair<NodeId, std::uint32_t>> &notices,
+               const VectorTime &copy_vt, bool route,
+               const IntervalLog &ilog, PendingWriters &pw)
 {
     pw.pending = 0;
-    for (const auto &[proc, idx] : m.notices) {
-        if (idx <= m.copyVt[proc])
+    for (const auto &[proc, idx] : notices) {
+        if (idx <= copy_vt[proc])
             continue;
         const std::uint64_t bit = std::uint64_t{1} << proc;
         pw.top[proc] =
@@ -1115,6 +1121,22 @@ LrcRuntime::pendingWriters(const PageMeta &m, bool route,
     }
 }
 
+} // namespace
+
+VectorTime
+LrcRuntime::BatchPageReq::askedOf(NodeId q) const
+{
+    VectorTime v = need;
+    v[q] = copyVt[q];
+    for (const auto &[writer, server] : served) {
+        if (server == q)
+            v[writer] = copyVt[writer];
+        else if (writer == q)
+            v[q] = need[q]; // dominated on this page: its server ships
+    }
+    return v;
+}
+
 void
 LrcRuntime::snapshotBatchTargets(PageId page,
                                  std::vector<NodeId> &responders,
@@ -1130,26 +1152,21 @@ LrcRuntime::snapshotBatchTargets(PageId page,
     // §10). Timestamp responders send current page bytes rather than
     // stored diffs, so every pending writer is still asked there.
     const bool route = usesDiffing();
-    std::unique_lock<std::mutex> ig(nl->ilog, std::defer_lock);
-    if (route)
-        ig.lock();
+    std::lock_guard<std::mutex> ig(nl->ilog);
     PendingWriters pw;
     const auto add_req = [&](PageId p, const PageMeta &pm) {
-        BatchPageReq pr{p, pm.copyVt};
-        if (route) {
-            pr.need = pm.copyVt;
-            for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
-                const NodeId w = std::countr_zero(ws);
-                pr.need[w] = pw.top[w];
-                if (!(pw.asked >> w & 1))
-                    pr.served.emplace_back(w, pw.server[w]);
-            }
+        BatchPageReq pr{p, pm.copyVt, pm.copyVt};
+        for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
+            const NodeId w = std::countr_zero(ws);
+            pr.need[w] = pw.top[w];
+            if (!(pw.asked >> w & 1))
+                pr.served.emplace_back(w, pw.server[w]);
         }
         reqs.push_back(std::move(pr));
     };
 
     const PageMeta &m = meta(page);
-    pendingWriters(m, route, pw);
+    pendingWriters(m.notices, m.copyVt, route, ilog, pw);
     std::uint64_t asked = 0;
     for (const auto &[proc, idx] : m.notices) {
         const std::uint64_t bit = std::uint64_t{1} << proc;
@@ -1169,7 +1186,7 @@ LrcRuntime::snapshotBatchTargets(PageId page,
         if (p2 == page)
             continue;
         const PageMeta &m2 = meta(p2);
-        pendingWriters(m2, route, pw);
+        pendingWriters(m2.notices, m2.copyVt, route, ilog, pw);
         if ((pw.asked & ~asked) == 0)
             add_req(p2, m2);
     }

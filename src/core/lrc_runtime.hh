@@ -32,7 +32,6 @@
 #ifndef DSM_CORE_LRC_RUNTIME_HH
 #define DSM_CORE_LRC_RUNTIME_HH
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -172,7 +171,7 @@ class LrcRuntime : public Runtime
     {
         PageId page;
         VectorTime copyVt;
-        /** Diff mode: copyVt joined with the page's pending notices. */
+        /** copyVt joined with the page's pending notices. */
         VectorTime need{};
         /** Diff mode: (dominated writer, responder that ships its
          *  diffs) for each pending writer nobody asks directly. */
@@ -185,29 +184,6 @@ class LrcRuntime : public Runtime
          *  a needed diff another responder ships. */
         VectorTime askedOf(NodeId q) const;
     };
-
-    /**
-     * One page's pending writers (bit per node) and the latest pending
-     * interval of each. In diff mode a writer u is dominated when
-     * another pending writer's latest pending record knows top[u]
-     * (vt[u] >= top[u]): that writer applied and stored u's diffs
-     * before it wrote the page. asked holds the undominated writers;
-     * server[u] names the first of them that dominates u. Fixed-size
-     * (at most 64 nodes), so scanning a page allocates nothing.
-     */
-    struct PendingWriters
-    {
-        std::uint64_t pending = 0;
-        std::uint64_t asked = 0;
-        std::array<std::uint32_t, 64> top{};
-        std::array<NodeId, 64> server{};
-    };
-
-    /** Fill @p pw from @p m's notices; @p route applies the domination
-     *  rule (else every pending writer is asked). Caller holds
-     *  nl->core, and nl->ilog when routing. */
-    void pendingWriters(const PageMeta &m, bool route,
-                        PendingWriters &pw) const;
 
     // --- Write-notice piggybacking on fetch replies (TreadMarks).
     // Requests advertise the requester's interval-log coverage;
@@ -398,7 +374,7 @@ class LrcRuntime : public Runtime
 
     /**
      * Snapshot @p page's responders into @p responders: in diff mode
-     * its undominated writers (see PendingWriters), with timestamps
+     * its undominated writers (DESIGN.md §10), with timestamps
      * every pending writer. Into @p reqs go the page itself plus, with
      * batchDiffFetch, every other invalid page whose undominated
      * (timestamps: all) pending writers are responders — the piggyback
