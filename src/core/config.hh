@@ -121,8 +121,9 @@ struct ClusterConfig
 
     /**
      * Cross-page piggybacking on homeless LRC misses. Every miss
-     * sends one batched request per responder (diffs: the page's
-     * undominated pending writers; timestamp runs: all of them);
+     * sends one batched request per responder (diffs at one app
+     * thread per node: the page's undominated pending writers;
+     * otherwise all of them);
      * with this on, the batch also carries every other invalid page
      * those responders cover. Off, the batch holds only the missed
      * page — one round trip per (page, responder), at 12 extra wire

@@ -1049,7 +1049,7 @@ sortForApply(std::vector<FetchedDiff> &fetched)
 
 /**
  * One page's pending writers (bit per node) and the latest pending
- * interval of each. In diff mode a writer u is dominated when another
+ * interval of each. When routing, a writer u is dominated when another
  * pending writer's latest pending record knows top[u] (vt[u] >=
  * top[u]): that writer applied and stored u's diffs before it wrote
  * the page. asked holds the undominated writers; server[u] names the
@@ -1127,12 +1127,9 @@ VectorTime
 LrcRuntime::BatchPageReq::askedOf(NodeId q) const
 {
     VectorTime v = need;
-    v[q] = copyVt[q];
-    for (const auto &[writer, server] : served) {
-        if (server == q)
+    for (const auto &[writer, owner] : owners) {
+        if (owner == q)
             v[writer] = copyVt[writer];
-        else if (writer == q)
-            v[q] = need[q]; // dominated on this page: its server ships
     }
     return v;
 }
@@ -1149,18 +1146,26 @@ LrcRuntime::snapshotBatchTargets(PageId page,
     if (global_vt)
         *global_vt = vt;
     // Diff mode routes by the interval records' vectors (DESIGN.md
-    // §10). Timestamp responders send current page bytes rather than
-    // stored diffs, so every pending writer is still asked there.
-    const bool route = usesDiffing();
-    std::lock_guard<std::mutex> ig(nl->ilog);
+    // §10), but only at T == 1: on SMP nodes a record can know an
+    // interval its writer's copy lacks, so every pending writer is
+    // asked there. Timestamp responders send current page bytes rather
+    // than stored diffs; that mode keeps its per-page copy vector.
+    const bool diffs = usesDiffing();
+    const bool route = diffs && threadsT == 1;
+    std::unique_lock<std::mutex> ig(nl->ilog, std::defer_lock);
+    if (route)
+        ig.lock();
     PendingWriters pw;
     const auto add_req = [&](PageId p, const PageMeta &pm) {
-        BatchPageReq pr{p, pm.copyVt, pm.copyVt};
-        for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
-            const NodeId w = std::countr_zero(ws);
-            pr.need[w] = pw.top[w];
-            if (!(pw.asked >> w & 1))
-                pr.served.emplace_back(w, pw.server[w]);
+        BatchPageReq pr{p, pm.copyVt};
+        if (diffs) {
+            pr.need = pm.copyVt;
+            for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
+                const NodeId w = std::countr_zero(ws);
+                pr.need[w] = pw.top[w];
+                pr.owners.emplace_back(
+                    w, (pw.asked >> w & 1) ? w : pw.server[w]);
+            }
         }
         reqs.push_back(std::move(pr));
     };

@@ -171,17 +171,17 @@ class LrcRuntime : public Runtime
     {
         PageId page;
         VectorTime copyVt;
-        /** copyVt joined with the page's pending notices. */
+        /** Diff mode: copyVt joined with the page's pending notices. */
         VectorTime need{};
-        /** Diff mode: (dominated writer, responder that ships its
-         *  diffs) for each pending writer nobody asks directly. */
-        std::vector<std::pair<NodeId, NodeId>> served{};
+        /** Diff mode: (pending writer, owner) for each pending writer.
+         *  The owner is the responder that ships the writer's diffs:
+         *  the writer itself when undominated, else its server. */
+        std::vector<std::pair<NodeId, NodeId>> owners{};
 
-        /** The page vector asked of responder @p q: copyVt for the
-         *  writers q serves and for q itself (unless q is dominated on
-         *  this page), need for every other writer. So q sends what it
-         *  alone owes plus what the requester has not heard of, never
-         *  a needed diff another responder ships. */
+        /** Diff mode: the page vector asked of responder @p q: copyVt
+         *  for the writers q owns, need for every other writer. So q
+         *  sends what it alone owes plus what the requester has not
+         *  heard of, never a needed diff another responder ships. */
         VectorTime askedOf(NodeId q) const;
     };
 
@@ -374,11 +374,12 @@ class LrcRuntime : public Runtime
 
     /**
      * Snapshot @p page's responders into @p responders: in diff mode
-     * its undominated writers (DESIGN.md §10), with timestamps
-     * every pending writer. Into @p reqs go the page itself plus, with
-     * batchDiffFetch, every other invalid page whose undominated
-     * (timestamps: all) pending writers are responders — the piggyback
-     * set, which becomes fully consistent from the same round trips.
+     * at one app thread per node its undominated writers (DESIGN.md
+     * §10), otherwise every pending writer. Into @p reqs go the page
+     * itself plus, with batchDiffFetch, every other invalid page whose
+     * undominated (otherwise: all) pending writers are responders —
+     * the piggyback set, which becomes fully consistent from the same
+     * round trips.
      * Also snapshots the interval-log coverage into @p log_cov and,
      * when non-null, the global vector into @p global_vt, all under
      * one acquisition of the node mutex; the snapshot stays valid

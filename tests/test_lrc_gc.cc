@@ -400,5 +400,69 @@ TEST(LrcRouting, DominatedResponderLeavesPiggybackedPageToItsServer)
     EXPECT_EQ(r.total.diffsDiscarded, 0u);
 }
 
+TEST(LrcRouting, SmpNodesAskEveryPendingWriter)
+{
+    // Two app threads per node. Node 1 writes word A under locks 1 and
+    // 5 (both managed by node 1). Node 2's thread 0 requests lock 1,
+    // which closes node 2's interval; before the grant lands, thread 1
+    // writes word B. So node 2's next record knows (1,1) while its copy
+    // of the page lacks it. Node 3 learns (1,1) through lock 5 and
+    // overwrites A. Nodes 2 and 3 both dominate node 1; routing would
+    // leave (1,1) to node 2, apply node 3's A, and apply node 1's
+    // older A in a retry. Asking every pending writer applies all
+    // three in one round, in happens-before order.
+    constexpr int kA = 1;
+    constexpr int kB = 60;
+    ClusterConfig cc = gcConfig("LRC-diff", 4);
+    cc.threadsPerNode = 2;
+    cc.transport = "ring"; // host-atomic phases below
+    Cluster cluster(cc);
+    std::atomic<int> phase{0};
+    const auto await = [&phase](int p) {
+        while (phase.load() < p)
+            std::this_thread::yield();
+    };
+    RunResult r = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 64);
+        rt.barrier(0);
+        const int node = rt.self();
+        const int t = rt.threadId();
+        if (node == 1 && t == 0) {
+            rt.acquire(1, AccessMode::Write);
+            rt.acquire(5, AccessMode::Write);
+            a.set(kA, 1);
+            phase.store(1);
+            // Node 2's request is queued here: its interval is closed.
+            while (rt.lockService().pendingRemoteCount(1) == 0)
+                std::this_thread::yield();
+            phase.store(2);
+            await(3);
+            rt.release(1);
+            rt.release(5);
+        } else if (node == 2 && t == 0) {
+            await(1);
+            rt.acquire(1, AccessMode::Write);
+            rt.release(1);
+        } else if (node == 2 && t == 1) {
+            await(2);
+            a.set(kB, 2);
+            phase.store(3);
+        } else if (node == 3 && t == 0) {
+            await(1);
+            rt.acquire(5, AccessMode::Write);
+            a.set(kA, 3);
+            rt.release(5);
+        }
+        rt.barrier(1);
+        if (node == 0 && t == 0) {
+            EXPECT_EQ(a.get(kA), 3);
+            EXPECT_EQ(a.get(kB), 2);
+        }
+    });
+    // One round to nodes 1, 2 and 3; each ships only its own diff.
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 3u);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
+}
+
 } // namespace
 } // namespace dsm
