@@ -49,8 +49,6 @@ benchCluster()
         cc.gcAtBarriers = std::atoi(v) != 0;
     if (const char *v = std::getenv("DSM_POOL"))
         cc.pooledBuffers = std::atoi(v) != 0;
-    if (const char *v = std::getenv("DSM_DIFF_GAP"))
-        cc.diffGapWords = static_cast<std::uint32_t>(std::atoi(v));
     if (const char *v = std::getenv("DSM_NOTICE"))
         cc.piggybackWriteNotices = std::atoi(v) != 0;
     // DSM_SIMD=0 is read by the scan-kernel dispatch itself

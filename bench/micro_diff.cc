@@ -4,7 +4,7 @@
  * (ScanKernel::Scalar) against the 64-bit/memcmp-chunked block scan
  * (ScanKernel::Wide, PR 1) and the explicit AVX2/NEON kernels
  * (ScanKernel::Simd, this PR) on 4 KiB pages across write densities,
- * plus the effect of run coalescing (gapWords) on wire bytes.
+ * plus each page's word-exact wire bytes.
  *
  * Emits BENCH_diff.json (tracked in the repo) so the diff-creation
  * throughput trajectory is visible across PRs. Acceptance bars:
@@ -99,19 +99,19 @@ seedThroughput(const std::byte *cur, const std::byte *twin, int iters)
     return iters / std::chrono::duration<double>(end - start).count();
 }
 
-/** Pages/second for Diff::create under @p scan on @p cur vs @p twin. */
+/** Pages/second for Diff::create under @p kernel on @p cur vs @p twin. */
 double
-throughput(const std::byte *cur, const std::byte *twin, DiffScan scan,
+throughput(const std::byte *cur, const std::byte *twin, ScanKernel kernel,
            int iters)
 {
     // Warm-up + checksum the result so the compiler keeps the work.
     volatile std::uint64_t sink = 0;
-    Diff warm = Diff::create(cur, twin, kPageBytes, nullptr, scan);
+    Diff warm = Diff::create(cur, twin, kPageBytes, nullptr, kernel);
     sink = sink + warm.dataBytes();
 
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-        Diff d = Diff::create(cur, twin, kPageBytes, nullptr, scan);
+        Diff d = Diff::create(cur, twin, kPageBytes, nullptr, kernel);
         sink = sink + d.dataBytes();
     }
     const auto end = std::chrono::steady_clock::now();
@@ -162,18 +162,14 @@ main()
 
         const double seed = seedThroughput(cur.data(), twin.data(), iters);
         const double narrow = throughput(cur.data(), twin.data(),
-                                         {ScanKernel::Scalar, 0}, iters);
+                                         ScanKernel::Scalar, iters);
         const double wide = throughput(cur.data(), twin.data(),
-                                       {ScanKernel::Wide, 0}, iters);
+                                       ScanKernel::Wide, iters);
         const double simd = throughput(cur.data(), twin.data(),
-                                       {ScanKernel::Simd, 0}, iters);
+                                       ScanKernel::Simd, iters);
         const std::uint64_t wire =
             Diff::create(cur.data(), twin.data(), kPageBytes, nullptr,
-                         {ScanKernel::Wide, 0})
-                .wireBytes();
-        const std::uint64_t wireGap8 =
-            Diff::create(cur.data(), twin.data(), kPageBytes, nullptr,
-                         {ScanKernel::Wide, 8})
+                         ScanKernel::Wide)
                 .wireBytes();
 
         std::printf("%-16s %11.0f %11.0f %11.0f %11.0f %8.2fx %8.2fx "
@@ -191,13 +187,11 @@ main()
                       "\"speedup_vs_seed\": %.2f, "
                       "\"speedup_simd_vs_seed\": %.2f, "
                       "\"speedup_simd_vs_wide\": %.2f, "
-                      "\"wire_bytes\": %llu, "
-                      "\"wire_bytes_gap8\": %llu}",
+                      "\"wire_bytes\": %llu}",
                       first ? "" : ",\n", sc.name, sc.changedWords,
                       seed, narrow, wide, simd, wide / seed,
                       simd / seed, simd / wide,
-                      static_cast<unsigned long long>(wire),
-                      static_cast<unsigned long long>(wireGap8));
+                      static_cast<unsigned long long>(wire));
         json += row;
         first = false;
     }

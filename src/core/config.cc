@@ -162,8 +162,8 @@ const Knob kKnobs[] = {
      "twin small EC objects at write-lock acquire"},
     {"wide_diff_scan", &C::wideDiffScan, nullptr, {}, 1, 1,
      "the config switch to the seed scalar scan is retired"},
-    {"diff_gap_words", &C::diffGapWords, nullptr, {}, 0, kIntMax,
-     "unchanged words a diff run may bridge"},
+    {"diff_gap_words", &C::diffGapWords, nullptr, {}, 0, 0,
+     "gap-coalesced diffs are retired (runs are word-exact)"},
     {"batch_diff_fetch", &C::batchDiffFetch, nullptr, {}, 0, 1,
      "cross-page piggybacking on homeless misses"},
     {"pooled_buffers", &C::pooledBuffers, nullptr, {}, 0, 1,

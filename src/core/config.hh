@@ -110,13 +110,7 @@ struct ClusterConfig
      *  (bestScanKernel). */
     bool wideDiffScan = true;
 
-    /**
-     * Coalesce diff runs separated by at most this many unchanged
-     * words into one run (fewer per-run wire headers, more payload
-     * bytes). 0 keeps runs word-exact — required whenever concurrent
-     * writers of one page may interleave within the gap, so it is the
-     * only safe general default for LRC's multi-writer protocol.
-     */
+    /** Retired gap-coalesced diffs: only 0 is accepted. */
     std::uint32_t diffGapWords = 0;
 
     /**

@@ -30,12 +30,11 @@ LrcRuntime::LrcRuntime(const Deps &deps)
                 std::max(0, deps.cluster->homePingPongLimit)))
 {
     DSM_ASSERT(cluster->runtime.model == Model::LRC, "config mismatch");
-    announceWrites = !homeMode() && usesDiffing() &&
-                     cluster->diffGapWords > 0;
-    // PageMeta::writerMask is one bit per node; Cluster enforces the
+    // PendingWriters' masks are one bit per node; Cluster enforces the
     // same bound, but the shift width is this class's invariant.
     DSM_ASSERT(deps.nprocs >= 1 && deps.nprocs <= 64,
-               "writerMask holds at most 64 nodes, got %d", deps.nprocs);
+               "PendingWriters holds at most 64 nodes, got %d",
+               deps.nprocs);
     cluster->runtime.validate();
 
     LockHooks lh;
@@ -85,20 +84,6 @@ void
 LrcRuntime::rebindLock(LockId, std::vector<Range>)
 {
     panic("rebindLock is an EC-only operation");
-}
-
-void
-LrcRuntime::declareWriteIntent(GlobalAddr addr, std::size_t bytes)
-{
-    if (!announceWrites || bytes == 0)
-        return;
-    std::lock_guard<std::mutex> g(nl->core);
-    const PageId first = arena->pageOf(addr);
-    const PageId last = arena->pageOf(addr + bytes - 1);
-    for (PageId p = first; p <= last; ++p) {
-        writtenPages.insert(p);
-        meta(p).writerMask |= std::uint64_t{1} << id;
-    }
 }
 
 LrcRuntime::PageMeta &
@@ -216,9 +201,6 @@ LrcRuntime::closeInterval()
     for (PageId p : modified) {
         const std::uint32_t prev_idx = meta(p).copyVt[id];
         meta(p).copyVt[id] = idx;
-        meta(p).writerMask |= std::uint64_t{1} << id;
-        if (announceWrites)
-            writtenPages.insert(p);
         const GlobalAddr base = arena->pageBase(p);
         std::lock_guard<std::mutex> sg(nl->shardFor(p));
         if (usesTwinning()) {
@@ -231,18 +213,7 @@ LrcRuntime::closeInterval()
             const std::byte *cur = arena->at(base);
             const std::byte *twin = twins.pageTwin(p).data();
             clock().add(costModel().perWordDiffNs * page_words);
-            // Gap coalescing bridges unchanged words with their local
-            // contents; at a home those words may carry concurrent
-            // writers' flushes, so home mode keeps runs word-exact.
-            // Elsewhere it is only safe when no concurrent writer can
-            // interleave in the gap: gate it on the page's observed
-            // writer history (adaptive single-writer coalescing).
-            const bool single_writer =
-                (meta(p).writerMask & ~(std::uint64_t{1} << id)) == 0;
-            const DiffScan scan{bestScanKernel(),
-                                (homeMode() || !single_writer)
-                                    ? 0
-                                    : cluster->diffGapWords};
+            const ScanKernel kernel = bestScanKernel();
             if (usesDiffing()) {
                 if (homeMode() && homes.isHome(p)) {
                     auto &hs = homes.state(
@@ -264,7 +235,7 @@ LrcRuntime::closeInterval()
                              Diff::create(cur, twin,
                                           static_cast<std::uint32_t>(
                                               arena->pageSize()),
-                                          &stats(), scan)});
+                                          &stats(), kernel)});
                     } else {
                     // Our copy is the home copy and already holds the
                     // writes; stamp the word ordering sums straight
@@ -273,7 +244,7 @@ LrcRuntime::closeInterval()
                     stampChangedWordSums(
                         hs.wordSums, cur, twin,
                         static_cast<std::uint32_t>(arena->pageSize()),
-                        vt_sum, scan.kernel);
+                        vt_sum, kernel);
                     hs.appliedVt[id] = idx;
                     // Keep the migratory classifier aware of local
                     // writes (a self interval is a writer switch when
@@ -284,7 +255,7 @@ LrcRuntime::closeInterval()
                     Diff d = Diff::create(cur, twin,
                                           static_cast<std::uint32_t>(
                                               arena->pageSize()),
-                                          &stats(), scan);
+                                          &stats(), kernel);
                     if (!homeMode()) {
                         store.emplace_back(
                             std::make_pair(p, packTs(id, idx)),
@@ -301,7 +272,7 @@ LrcRuntime::closeInterval()
                 stampChangedWords(ts, cur, twin,
                                   static_cast<std::uint32_t>(
                                       arena->pageSize()),
-                                  packTs(id, idx), scan.kernel);
+                                  packTs(id, idx), kernel);
             }
             twins.dropPage(p);
             // Writable only within an interval: later writes re-fault
@@ -374,7 +345,6 @@ LrcRuntime::invalidateFor(const IntervalRec &rec, bool fresh)
 {
     for (PageId p : rec.pages) {
         PageMeta &m = meta(p);
-        m.writerMask |= std::uint64_t{1} << rec.proc;
         if (m.copyVt[rec.proc] >= rec.idx) {
             // First delivery of a notice whose data an earlier fetch
             // reply already piggybacked: the seed protocol would have
@@ -478,10 +448,8 @@ LrcRuntime::ingestPiggybackedRecords(std::vector<IntervalRec> &recs)
         bool was_new = false;
         const IntervalRec &stored = ilog.add(std::move(rec), &was_new);
         // No notices are added here: piggybacked records carry
-        // ordering knowledge (and writer history) early, while
-        // invalidation stays as lazy as the seed protocol.
-        for (PageId p : stored.pages)
-            meta(p).writerMask |= std::uint64_t{1} << stored.proc;
+        // ordering knowledge early, while invalidation stays as lazy
+        // as the seed protocol.
         if (was_new)
             fresh.push_back(&stored);
     }
@@ -556,36 +524,14 @@ LrcRuntime::makeLockRequest(LockId, AccessMode)
     closeInterval();
     WireWriter w;
     vt.encode(w);
-    // Written-page announcement (homeless gap coalescing only): tell
-    // the granter which pages we have ever written *before* it cuts
-    // its grant-side diff. Without this, the granter only learns of
-    // our writes from interval records — which arrive one grant too
-    // late for the very first lock-mediated contact, letting its
-    // still-"single-writer" gap-coalesced diff bridge a gap with
-    // stale local words and clobber our concurrent write at a third
-    // party (the writerMask first-contact bug).
-    if (announceWrites) {
-        w.putU32(static_cast<std::uint32_t>(writtenPages.size()));
-        for (PageId p : writtenPages)
-            w.putU32(p);
-    } else {
-        w.putU32(0);
-    }
     return w.take();
 }
 
 std::vector<std::byte>
-LrcRuntime::makeLockGrant(LockId, AccessMode, NodeId origin,
-                          WireReader &req)
+LrcRuntime::makeLockGrant(LockId, AccessMode, NodeId, WireReader &req)
 {
     std::lock_guard<std::mutex> g(nl->core);
     VectorTime req_vt = VectorTime::decode(req);
-    // Widen writerMask with the requester's announced write history
-    // before closeInterval chooses its diff gaps: any announced page
-    // is no longer single-writer here, so its diff stays word-exact.
-    const std::uint32_t nannounced = req.getU32();
-    for (std::uint32_t i = 0; i < nannounced; ++i)
-        meta(req.getU32()).writerMask |= std::uint64_t{1} << origin;
     closeInterval();
     // The grant below carries our interval records: every deferred
     // flush they refer to must be in flight before the grant leaves
@@ -654,16 +600,6 @@ LrcRuntime::makeArrival(BarrierId)
     // data and trivially applied locally, so the flag still holds.)
     w.putU8(gcValidated ? 1 : 0);
     gcValidated = false;
-    // Written-page announcement, barrier channel (homeless gap
-    // coalescing only): the manager folds every arrival's set into the
-    // departures, so two writers that only ever meet at barriers learn
-    // of each other before either cuts its next diff — the
-    // barrier-synchronized twin of the lock-request announcement.
-    if (announceWrites) {
-        w.putU32(static_cast<std::uint32_t>(writtenPages.size()));
-        for (PageId p : writtenPages)
-            w.putU32(p);
-    }
     // Send my own records created since my previous barrier; every
     // record reaches the manager from its author.
     std::lock_guard<std::mutex> ig(nl->ilog);
@@ -688,15 +624,6 @@ LrcRuntime::mergeArrival(BarrierId barrier, NodeId node, WireReader &r)
     scratch.arrivalVt[node] = VectorTime::decode(r);
     if (r.getU8())
         scratch.validatedArrivals++;
-    if (announceWrites) {
-        const std::uint32_t nannounced = r.getU32();
-        std::lock_guard<std::mutex> cg(nl->core);
-        for (std::uint32_t i = 0; i < nannounced; ++i) {
-            const PageId p = r.getU32();
-            scratch.announcedMasks[p] |= std::uint64_t{1} << node;
-            meta(p).writerMask |= std::uint64_t{1} << node;
-        }
-    }
     const std::uint32_t nrecs = r.getU32();
     std::lock_guard<std::mutex> ig(nl->ilog);
     for (std::uint32_t i = 0; i < nrecs; ++i)
@@ -728,14 +655,6 @@ LrcRuntime::makeDepart(BarrierId barrier, NodeId node)
     WireWriter w;
     global.encode(w);
     gc_vt.encode(w);
-    if (announceWrites) {
-        w.putU32(
-            static_cast<std::uint32_t>(scratch.announcedMasks.size()));
-        for (const auto &[p, mask] : scratch.announcedMasks) {
-            w.putU32(p);
-            w.putU64(mask);
-        }
-    }
     // Cap at the departure's vector, as lock grants cap at vt: the
     // manager's own departure can reach its app thread (reply bypass)
     // while this thread still builds the others, and that app thread
@@ -761,13 +680,6 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     std::lock_guard<std::mutex> g(nl->core);
     VectorTime global = VectorTime::decode(r);
     VectorTime gc_vt = VectorTime::decode(r);
-    if (announceWrites) {
-        const std::uint32_t nannounced = r.getU32();
-        for (std::uint32_t i = 0; i < nannounced; ++i) {
-            const PageId p = r.getU32();
-            meta(p).writerMask |= r.getU64();
-        }
-    }
     const std::uint32_t nrecs = r.getU32();
     for (std::uint32_t i = 0; i < nrecs; ++i) {
         IntervalRec incoming = decodeRecord(r);
@@ -965,17 +877,7 @@ LrcRuntime::fetchPage(PageId page)
 void
 LrcRuntime::fetchPageData(PageId page)
 {
-    if (threadsT == 1) {
-        // Single app thread: exactly the historical dispatch.
-        if (homeMode())
-            fetchFromHome(page);
-        else if (usesDiffing())
-            fetchDiffs(page);
-        else
-            fetchTimestamps(page);
-        return;
-    }
-    // SMP nodes: one fetch per page at a time. Siblings that miss the
+    // One fetch per page at a time. Siblings (SMP nodes) that miss the
     // same page wait for the in-flight fetch instead of issuing
     // duplicate request rounds.
     {
@@ -1949,7 +1851,6 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
     // for our own writes to finish chasing a migration hand-off (the
     // install may have regressed them; program order for own reads).
     PageMeta &m = meta(page);
-    m.writerMask |= std::uint64_t{1} << proc;
     m.copyVt[proc] = std::max(m.copyVt[proc], idx);
     resolveCoveredNotices(page, m);
     if (m.notices.empty() && hs.appliedVt[id] >= m.copyVt[id] &&
@@ -2253,7 +2154,6 @@ LrcRuntime::serialize(WireWriter &w) const
             w.putI64(proc);
             w.putU32(idx);
         }
-        w.putU64(m.writerMask);
     }
     w.putU32(static_cast<std::uint32_t>(pageTs.size()));
     for (const auto &[page, ts] : pageTs) {
@@ -2345,7 +2245,6 @@ LrcRuntime::restoreFrom(WireReader &r)
             const std::uint32_t idx = r.getU32();
             m.notices.emplace_back(proc, idx);
         }
-        m.writerMask = r.getU64();
         // Re-establish the invariant invalidPages ⇔ pending notices.
         if (!m.notices.empty())
             invalidPages.insert(page);

@@ -85,15 +85,6 @@ class LrcRuntime : public Runtime
     /** The manifest frontier is this node's vector time. */
     std::vector<std::uint32_t> vectorFrontier() const override;
 
-    /**
-     * Advertise write intent (see Runtime::declareWriteIntent): the
-     * pages of [addr, addr + bytes) enter writtenPages now, so the
-     * very next lock request or barrier arrival announces them even
-     * though no interval has closed over them yet. Only meaningful
-     * when announceWrites is on; a no-op otherwise.
-     */
-    void declareWriteIntent(GlobalAddr addr, std::size_t bytes) override;
-
   protected:
     void preBarrier() override;
     void doRead(GlobalAddr addr, void *dst, std::size_t size) override;
@@ -108,27 +99,6 @@ class LrcRuntime : public Runtime
         VectorTime copyVt;
         /** Pending write notices (proc, interval) newer than copyVt. */
         std::vector<std::pair<NodeId, std::uint32_t>> notices;
-        /**
-         * Every processor ever observed writing this page (bit per
-         * node: own interval closes, the writers named by every
-         * record processed for it, and the written-page announcements
-         * piggybacked on lock requests). Gap-coalesced diffs are only
-         * enabled while no processor but ourselves has ever written
-         * the page — a conservative gate that turns the global unsafe
-         * diffGapWords knob into an adaptive single-writer
-         * optimization. The lock-request announcement closes the
-         * first-contact window for lock-mediated sharing (the granter
-         * learns the requester's written pages *before* it cuts its
-         * grant-side diff); writers that only ever meet at barriers
-         * still learn of each other one interval late, so the knob
-         * stays conservative for purely barrier-synchronized apps.
-         * Without the announcement, a granter that had only ever
-         * seen itself write a page kept coalescing engaged and
-         * bridged the requester's concurrent word with a stale local
-         * value; this test pins the clobber:
-         * LrcWriterMask.LockRequestAnnouncementPreventsStaleCoalesce.
-         */
-        std::uint64_t writerMask = 0;
     };
 
     PageMeta &meta(PageId page);
@@ -424,24 +394,14 @@ class LrcRuntime : public Runtime
     DirtyBitmap dirty;
     std::uint32_t lastBarrierSentIdx = 0;
 
-    /** Pages with an in-flight fetch (SMP nodes; guarded by nl->core,
-     *  waited on via fetchCv). Always empty at threadsPerNode == 1. */
+    /** Pages with an in-flight fetch (guarded by nl->core, waited on
+     *  via fetchCv). A sibling app thread that misses one of them
+     *  waits instead of fetching it again. */
     std::set<PageId> fetchesInFlight;
     std::condition_variable fetchCv;
 
     // Home-based state (unused in homeless mode).
     PageHomeTable homes;
-    /**
-     * Homeless diff mode with gap coalescing on: piggyback this
-     * node's written-page history on every lock request so the
-     * granter widens writerMask *before* cutting its grant-side diff
-     * (the first-contact fix — see PageMeta::writerMask).
-     */
-    bool announceWrites = false;
-    /** Every page this node ever closed a write interval for, in page
-     *  order (guarded by nl->core; only populated when
-     *  announceWrites). */
-    std::set<PageId> writtenPages;
     /** Wakes an app thread blocked on its own home copy (waiting for
      *  in-flight flushes) or on a mid-fetch home migration. Paired
      *  with nl->core. */
@@ -537,11 +497,6 @@ class LrcRuntime : public Runtime
         std::vector<VectorTime> arrivalVt;
         int validatedArrivals = 0;
         int departsBuilt = 0;
-        /** Union of the arrivals' written-page announcements (page ->
-         *  writer bits), rebroadcast in every departure so writers
-         *  that only ever meet at barriers still learn of each other
-         *  before their next diff cut (announceWrites only). */
-        std::map<PageId, std::uint64_t> announcedMasks;
     };
     std::unordered_map<BarrierId, BarrierScratch> barrierScratch;
 };

@@ -294,7 +294,7 @@ applyDiffGuarded(std::byte *dst, std::vector<std::uint64_t> &word_sums,
  * in-place writes this way (its copy already holds them), without
  * materializing a diff payload just to read the run offsets.
  *
- * @param kernel Comparison scan kernel (matches DiffScan::kernel).
+ * @param kernel Comparison scan kernel (as for Diff::create).
  * @return Number of words stamped.
  */
 std::uint64_t stampChangedWordSums(std::vector<std::uint64_t> &word_sums,

@@ -263,19 +263,6 @@ class Runtime
     void setFailureDetector(FailureDetector *fd) { detector = fd; }
 
     /**
-     * Declare the caller's intent to write [addr, addr + bytes)
-     * inside the critical section just entered: the pages are
-     * advertised to the *next* synchronization partner immediately,
-     * instead of being discovered one interval late from the diffs.
-     * Closes the first-contact window of adaptive gap coalescing — a
-     * page's first concurrently-written interval is already known to
-     * overlap, so its diff runs stay word-exact from the start. A
-     * no-op for EC and for configurations that never coalesce
-     * (homeless LRC with diffGapWords == 0, home mode).
-     */
-    virtual void declareWriteIntent(GlobalAddr, std::size_t) {}
-
-    /**
      * Snapshot serialization, invoked at a barrier cut with the node's
      * service thread stopped and all application threads parked at the
      * checkpoint rendezvous (so no protocol state is in motion and

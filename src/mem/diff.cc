@@ -9,7 +9,7 @@ namespace dsm {
 
 Diff
 Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
-             NodeStats *stats, DiffScan scan)
+             NodeStats *stats, ScanKernel kernel)
 {
     Diff d;
     d.areaLen = len;
@@ -21,14 +21,7 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
     d.runs.reserve(16);
     d.payload.reserve(std::min<std::size_t>(len, 256));
 
-    // Open word run [openStart, openEnd) of content to transmit. With
-    // gapWords > 0 a run may bridge short unchanged stretches.
-    bool open = false;
-    std::uint32_t openStart = 0;
-    std::uint32_t openEnd = 0;
-
-    auto emit = [&](std::uint32_t lastByte) {
-        const std::uint32_t firstByte = openStart * kWordBytes;
+    auto emit = [&](std::uint32_t firstByte, std::uint32_t lastByte) {
         DiffRun run;
         run.offset = firstByte;
         run.size = lastByte - firstByte;
@@ -38,35 +31,18 @@ Diff::create(const std::byte *cur, const std::byte *twin, std::uint32_t len,
         d.runs.push_back(run);
     };
 
-    scanChangedRuns(cur, twin, words, scan.kernel,
+    // scanChangedRuns reports maximal runs of differing words.
+    scanChangedRuns(cur, twin, words, kernel,
                     [&](std::uint32_t w, std::uint32_t e) {
-                        if (open && w - openEnd <= scan.gapWords) {
-                            openEnd = e;
-                            return;
-                        }
-                        if (open)
-                            emit(openEnd * kWordBytes);
-                        open = true;
-                        openStart = w;
-                        openEnd = e;
+                        emit(w * kWordBytes, e * kWordBytes);
                     });
 
-    // Trailing bytes (objects need not be word multiples); the tail is
-    // compared as one short word and may coalesce with the final run.
+    // Trailing bytes (objects need not be word multiples) are compared
+    // as one short word and, when they differ, sent as a run of their
+    // own.
     const std::uint32_t tail = words * kWordBytes;
-    const bool tail_differs =
-        tail < len && std::memcmp(cur + tail, twin + tail, len - tail) != 0;
-    if (tail_differs && open && scan.gapWords > 0 &&
-        words - openEnd <= scan.gapWords) {
-        emit(len);
-    } else {
-        if (open)
-            emit(openEnd * kWordBytes);
-        if (tail_differs) {
-            openStart = words;
-            emit(len);
-        }
-    }
+    if (tail < len && std::memcmp(cur + tail, twin + tail, len - tail) != 0)
+        emit(tail, len);
 
     if (stats) {
         stats->diffWordsCompared += comparedWords(len);

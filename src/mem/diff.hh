@@ -36,31 +36,6 @@ struct DiffRun
     bool operator==(const DiffRun &other) const = default;
 };
 
-/** How Diff::create scans the copy against the twin. */
-struct DiffScan
-{
-    /**
-     * Comparison kernel (mem/wide_scan.hh): the seed per-word memcmp
-     * loop (Scalar), the 64-bit/memcmp-chunked walk (Wide), or the
-     * explicit AVX2/NEON kernels (Simd, with internal fallback on
-     * CPUs without the extension). All emit identical
-     * word-granularity runs. Defaults to the best kernel available.
-     */
-    ScanKernel kernel = bestScanKernel();
-
-    /**
-     * Coalesce runs separated by at most this many unchanged words
-     * into one run (carrying the unchanged bytes), trading payload
-     * bytes for fewer per-run wire headers. 0 keeps runs word-exact.
-     *
-     * Caution: a coalesced run overwrites the bridged unchanged words
-     * on apply, which is only safe when diffs from concurrent writers
-     * of the same page cannot interleave within the gap (single-writer
-     * pages, or EC's lock-serialized objects).
-     */
-    std::uint32_t gapWords = 0;
-};
-
 class Diff
 {
   public:
@@ -88,14 +63,17 @@ class Diff
      * twinning implementations; trailing bytes are compared as one
      * short word).
      *
+     * Runs are word-exact: a run covers only words that differ from
+     * the twin, so applying a diff leaves every other word alone.
+     *
      * @param stats If non-null, diffWordsCompared/diffsCreated are
      *        recorded there.
-     * @param scan Scan kernel and run coalescing; the default is
-     *        word-exact scanning with the best available kernel.
+     * @param kernel Comparison kernel (mem/wide_scan.hh); every kernel
+     *        emits identical runs.
      */
     static Diff create(const std::byte *cur, const std::byte *twin,
                        std::uint32_t len, NodeStats *stats = nullptr,
-                       DiffScan scan = {});
+                       ScanKernel kernel = bestScanKernel());
 
     /** Copy every run onto @p dst (an area of at least length()). */
     void apply(std::byte *dst, NodeStats *stats = nullptr) const;

@@ -405,31 +405,25 @@ TEST(LrcNoticePiggyback, TimestampCapLiftedVsSeed)
 }
 
 // ---------------------------------------------------------------------
-// The writerMask first-contact regression (adaptive gap coalescing).
+// A grant-side diff leaves a concurrent writer's word intact.
 //
-// Choreography (3 nodes, homeless LRC-diff, gap coalescing on): node A
-// inflates its vector time with remote acquires of C-managed locks
-// (each request closes the previous interval), writes words 0 and 4 of
-// page p under its own lock L1, and still believes it is p's single
-// writer — nothing has told it otherwise. Node B concurrently writes
-// word 1 of p under its own lock L2 (both acquires are local: no
-// messages, no record exchange), then requests L1. Pre-fix, A cuts its
-// grant-side diff with the single-writer gap coalescing still engaged:
-// the [0..4] run bridges word 1 with A's stale local zero. Node C then
-// collects both records (L2 then L1) and reads p — diffs apply in
-// vtSum order, so A's inflated diff lands after B's, and the bridged
-// stale word silently clobbers B's 42. The fix piggybacks B's written
-// pages on its lock *request*, widening A's writerMask before the
-// grant-side close, which forces A's diff word-exact.
-TEST(LrcWriterMask, LockRequestAnnouncementPreventsStaleCoalesce)
+// Choreography (3 nodes, homeless LRC-diff): node A inflates its
+// vector time with remote acquires of C-managed locks (each request
+// closes the previous interval), then writes words 0 and 4 of page p
+// under its own lock L1. Node B concurrently writes word 1 of p under
+// its own lock L2 (both acquires are local: no messages, no record
+// exchange), then requests L1, so A cuts its diff of p on its service
+// thread at grant time. Node C then collects both records (L2 then L1)
+// and reads p. Diffs apply in vtSum order, so A's diff lands after
+// B's. A word-exact diff carries only words 0 and 4; a run that
+// bridged word 1 would carry A's stale zero there and clobber B's 42.
+TEST(LrcWordExactDiff, GrantSideDiffLeavesConcurrentWordIntact)
 {
-    ClusterConfig cc = lrcConfig("LRC-diff", 3);
-    cc.diffGapWords = 8; // bridge runs up to 8 words apart
-    Cluster cluster(cc);
+    Cluster cluster(lrcConfig("LRC-diff", 3));
     cluster.run([](Runtime &rt) {
         // 4 pages of ints: page 0 is the contended page p, pages 1-3
         // absorb A's vector-time inflation writes.
-        auto a = SharedArray<int>::alloc(rt, 1024, 4, "wmask");
+        auto a = SharedArray<int>::alloc(rt, 1024, 4, "exact");
         const int self = rt.self();
         rt.barrier(0);
         // Lock managers (lock % 3): L1=3 -> A, L2=4 -> B, the
@@ -448,9 +442,9 @@ TEST(LrcWriterMask, LockRequestAnnouncementPreventsStaleCoalesce)
             a.set(4, 2);
             rt.release(3);
             // Idle past B's L1 request: the barrier arrival below
-            // would close the open {q3, p} interval early (with no
-            // announcement in sight). The grant-side close must
-            // happen on our service thread when B's request lands.
+            // would close the open {q3, p} interval early. The
+            // grant-side close must happen on our service thread when
+            // B's request lands.
             std::this_thread::sleep_for(std::chrono::milliseconds(600));
         } else if (self == 1) {
             // Real-time ordering only (no causal edge — that would
@@ -471,80 +465,8 @@ TEST(LrcWriterMask, LockRequestAnnouncementPreventsStaleCoalesce)
             rt.release(4);
             rt.acquire(3, AccessMode::Write); // A's record: p @ vtSum 3
             ASSERT_EQ(a.get(1), 42)
-                << "A's gap-coalesced diff bridged word 1 with its "
-                   "stale zero and clobbered B's concurrent write";
-            ASSERT_EQ(a.get(0), 1);
-            ASSERT_EQ(a.get(4), 2);
-            rt.release(3);
-        }
-        rt.barrier(1);
-    });
-}
-
-// ---------------------------------------------------------------------
-// The barrier half of the announcement channel, driven by the
-// declareWriteIntent API. B never sends A a lock request (the PR
-// above's channel), and its write to word 1 happens only *after* A's
-// epoch has started — so the only way A can learn that page p is
-// multi-writer before cutting its grant-side diff is B's declared
-// intent riding the barrier: arrival carries B's intended pages, the
-// barrier manager folds every arrival's set into the departures, and
-// A's applyDepart widens its writerMask one epoch ahead of the write
-// itself. Without that edge A's [0..4] diff run would bridge word 1
-// with its stale zero and, applying after B's lower-vtSum diff at C,
-// clobber B's 42.
-TEST(LrcWriterMask, DeclaredIntentRidesBarrierChannel)
-{
-    ClusterConfig cc = lrcConfig("LRC-diff", 3);
-    cc.diffGapWords = 8;
-    Cluster cluster(cc);
-    cluster.run([](Runtime &rt) {
-        auto a = SharedArray<int>::alloc(rt, 1024, 4, "intent");
-        const int self = rt.self();
-        if (self == 1) {
-            // Epoch 1: intent only — no store, so barrier 1 spreads
-            // no write notice for p, only the announcement. A's copy
-            // of p stays valid (and stale at word 1).
-            rt.declareWriteIntent(a.addr(1), sizeof(int));
-        }
-        rt.barrier(0);
-        // Lock managers (lock % 3): L1=3 -> A, L2=4 -> B, the
-        // inflation locks 5/8/11 -> C.
-        if (self == 0) {
-            // Epoch 2. Inflate vt[A] past B's so A's diff applies
-            // last at C, then write around the word B declared.
-            for (LockId l : {5, 8, 11}) {
-                rt.acquire(l, AccessMode::Write);
-                a.set(256 * (l == 5 ? 1 : l == 8 ? 2 : 3), 7);
-                rt.release(l);
-            }
-            rt.acquire(3, AccessMode::Write); // local: no close
-            a.set(0, 1);
-            a.set(4, 2);
-            rt.release(3);
-            // Stay idle past C's L1 request: the diff must be cut on
-            // our service thread at grant time, with the writerMask
-            // already widened by B's barrier-borne intent.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1400));
-        } else if (self == 1) {
-            // The declared write, performed under a lock local to B:
-            // no message ever reaches A about it this epoch.
-            std::this_thread::sleep_for(std::chrono::milliseconds(300));
-            rt.acquire(4, AccessMode::Write);
-            a.set(1, 42);
-            rt.release(4);
-        } else {
-            // C collects B's record (vtSum low) then A's (vtSum
-            // high); diffs apply in vtSum order, so a gap-coalesced
-            // diff from A would land last and stomp word 1.
-            std::this_thread::sleep_for(std::chrono::milliseconds(900));
-            rt.acquire(4, AccessMode::Write);
-            rt.release(4);
-            rt.acquire(3, AccessMode::Write);
-            ASSERT_EQ(a.get(1), 42)
-                << "A never learned of B's declared intent through the "
-                   "barrier channel and bridged word 1 with stale data";
+                << "A's diff carried word 1 with its stale zero and "
+                   "clobbered B's concurrent write";
             ASSERT_EQ(a.get(0), 1);
             ASSERT_EQ(a.get(4), 2);
             rt.release(3);

@@ -47,7 +47,8 @@ TEST(Config, UnknownNameIsFatal)
  *  only because the benchmark in perfbench/ assigns every field. Send
  *  coalescing accepts only 0, the arena-pressure GC trigger only false
  *  and 2048, the config switch to the seed scalar scan only true, the
- *  reply bypass only 1 and the modeled stop-and-wait loss only 0. */
+ *  reply bypass only 1, the modeled stop-and-wait loss only 0 and the
+ *  diff gap only 0. */
 TEST(Config, RetiredCoalescingIsRejected)
 {
     ClusterConfig cc;
@@ -76,6 +77,11 @@ TEST(Config, RetiredCoalescingIsRejected)
     loss.lossEveryNth = 1;
     EXPECT_DEATH({ Cluster cluster(loss); },
                  "stop-and-wait loss is retired");
+    ClusterConfig gap;
+    gap.nprocs = 2;
+    gap.diffGapWords = 8;
+    EXPECT_DEATH({ Cluster cluster(gap); },
+                 "gap-coalesced diffs are retired");
 }
 
 /** Optimistic home reads are retired the same way: only the defaults

@@ -291,11 +291,11 @@ TEST_P(DiffScanEquivalence, WideMatchesReferenceAndNarrow)
         std::vector<std::byte> cur =
             adversarialMutate(twin, pattern, rng);
         Diff wide = Diff::create(cur.data(), twin.data(), len, nullptr,
-                                 {ScanKernel::Wide, 0});
+                                 ScanKernel::Wide);
         Diff narrow = Diff::create(cur.data(), twin.data(), len, nullptr,
-                                   {ScanKernel::Scalar, 0});
+                                   ScanKernel::Scalar);
         Diff simd = Diff::create(cur.data(), twin.data(), len, nullptr,
-                                 {ScanKernel::Simd, 0});
+                                 ScanKernel::Simd);
         // Byte-identical diffs: same runs, same payload, same wire form.
         EXPECT_EQ(wide, narrow);
         EXPECT_EQ(simd, narrow);
@@ -345,67 +345,6 @@ TEST(DiffScan, StatsCountTailAsOneShortWord)
     stats = NodeStats{};
     Diff::create(buf.data(), buf.data(), 8, &stats);
     EXPECT_EQ(stats.diffWordsCompared, 2u); // no tail, no extra word
-}
-
-TEST(DiffGap, CoalescesRunsAcrossSmallGaps)
-{
-    std::vector<std::byte> twin(64, std::byte{0});
-    std::vector<std::byte> cur = twin;
-    cur[0] = std::byte{1};  // word 0
-    cur[12] = std::byte{2}; // word 3 (gap of 2 words)
-    cur[40] = std::byte{3}; // word 10 (gap of 6 words)
-
-    Diff exact = Diff::create(cur.data(), twin.data(), 64, nullptr,
-                              {ScanKernel::Wide, 0});
-    ASSERT_EQ(exact.diffRuns().size(), 3u);
-
-    Diff gap2 = Diff::create(cur.data(), twin.data(), 64, nullptr,
-                             {ScanKernel::Wide, 2});
-    ASSERT_EQ(gap2.diffRuns().size(), 2u);
-    EXPECT_EQ(gap2.diffRuns()[0].offset, 0u);
-    EXPECT_EQ(gap2.diffRuns()[0].size, 16u); // words 0..3 incl. bridge
-    EXPECT_LT(gap2.wireBytes(), exact.wireBytes() + 8);
-
-    Diff gap16 = Diff::create(cur.data(), twin.data(), 64, nullptr,
-                              {ScanKernel::Wide, 16});
-    ASSERT_EQ(gap16.diffRuns().size(), 1u);
-
-    // Coalesced diffs still reconstruct exactly (bridged bytes carry
-    // the current copy's values).
-    for (const Diff *d : {&exact, &gap2, &gap16}) {
-        std::vector<std::byte> dst = twin;
-        d->apply(dst.data());
-        EXPECT_EQ(dst, cur);
-    }
-}
-
-TEST(DiffGap, RandomizedCoalescedRoundTrip)
-{
-    Rng rng(123);
-    for (int trial = 0; trial < 50; ++trial) {
-        const std::uint32_t len =
-            16 + static_cast<std::uint32_t>(rng.below(500));
-        std::vector<std::byte> twin(len);
-        for (auto &b : twin)
-            b = std::byte{static_cast<unsigned char>(rng.below(256))};
-        std::vector<std::byte> cur = twin;
-        const int nmods = 1 + static_cast<int>(rng.below(30));
-        for (int i = 0; i < nmods; ++i)
-            cur[rng.below(len)] ^= std::byte{0x3c};
-        const std::uint32_t gap =
-            static_cast<std::uint32_t>(rng.below(8));
-        Diff d = Diff::create(cur.data(), twin.data(), len, nullptr,
-                              {ScanKernel::Wide, gap});
-        std::vector<std::byte> dst = twin;
-        d.apply(dst.data());
-        EXPECT_EQ(dst, cur);
-
-        WireWriter w;
-        d.encode(w);
-        auto bytes = w.take();
-        WireReader r(bytes);
-        EXPECT_EQ(Diff::decode(r), d);
-    }
 }
 
 TEST(StampChangedWords, WideMatchesNarrowAndStampsExactly)

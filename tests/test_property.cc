@@ -206,8 +206,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosCounter,
  * Homeless vs home-based diff application: a randomized multi-writer
  * page history — causally ordered rounds of 1-3 concurrent writers
  * touching disjoint words, with byte-granularity (non-word-aligned)
- * writes and occasional gap-coalesced diffs on single-writer rounds —
- * must converge to the same page bytes whether the diffs are applied
+ * writes — must converge to the same page bytes whether the diffs are applied
  * in happens-before (sum) order, as the homeless protocol does after
  * collecting a diff chain, or in an adversarially shuffled arrival
  * order through the home's sum-guarded in-place application.
@@ -263,16 +262,8 @@ TEST(HomeDiffApplication, ConvergesWithHomelessOrder)
                             static_cast<std::byte>(rng.below(256));
                     }
                 }
-                // Single-writer rounds may coalesce runs across gaps
-                // (bridged words carry round-start content, which is
-                // exactly what in-order application would leave there).
-                DiffScan scan;
-                scan.gapWords =
-                    (writers == 1)
-                        ? static_cast<std::uint32_t>(rng.below(5))
-                        : 0;
                 Diff d = Diff::create(copy.data(), twin.data(),
-                                      kPageBytes, nullptr, scan);
+                                      kPageBytes);
                 // Later rounds dominate earlier ones: strictly larger
                 // sums. Concurrent writers get arbitrary close sums.
                 const std::uint64_t vt_sum =

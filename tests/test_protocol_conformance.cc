@@ -59,6 +59,10 @@ struct ProtocolLeg
     /** Cross-page piggybacking on homeless misses (batchDiffFetch):
      *  off, each miss fetches only its own page. */
     bool batch = true;
+    /** Barrier GC threshold in interval records (gcIntervalThreshold;
+     *  0 keeps the default, which these small kernels never reach). A
+     *  low one runs the validate-and-prune handshake mid-kernel. */
+    std::uint32_t gcThreshold = 0;
 };
 
 const ProtocolLeg kLegs[] = {
@@ -97,6 +101,17 @@ const ProtocolLeg kLegs[] = {
      .home = false,
      .piggyback = true,
      .batch = false},
+    // Barrier GC mid-kernel, once per homeless collection method.
+    {.label = "LRC_gc",
+     .config = "LRC-diff",
+     .home = false,
+     .piggyback = true,
+     .gcThreshold = 4},
+    {.label = "LRC_time_gc",
+     .config = "LRC-time",
+     .home = false,
+     .piggyback = true,
+     .gcThreshold = 4},
 };
 
 struct KernelCase
@@ -129,6 +144,8 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     if (leg.adaptFair)
         cc.lockFairnessAdaptive = 1;
     cc.batchDiffFetch = leg.batch;
+    if (leg.gcThreshold > 0)
+        cc.gcIntervalThreshold = leg.gcThreshold;
     // Last-writer legs use an aggressive classifier and a tiny
     // ping-pong budget so migrations *and* the pin both happen inside
     // these small kernels.
@@ -139,7 +156,15 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
         cc.homePingPongLimit = 0;
     }
     Cluster cluster(cc);
-    cluster.run(kc.run);
+    const RunResult result = cluster.run(kc.run);
+    // The GC legs must really run GC: the stencil and the ring cross
+    // the threshold on every schedule. The task queue's record count
+    // depends on the schedule, so it may finish with no GC round.
+    if (leg.gcThreshold > 0 && std::strcmp(kc.name, "taskqueue") != 0) {
+        EXPECT_GT(result.total.gcRounds, 0u)
+            << kc.name << " np=" << kc.nprocs << "x" << kc.threads
+            << ": " << leg.label << " ran no GC round";
+    }
     std::vector<std::byte> state(kc.stateBytes);
     std::memcpy(state.data(), cluster.memory(0, 0), kc.stateBytes);
     return state;

@@ -217,9 +217,9 @@ TEST(WideScan, CleanSkipStrideBoundaries)
 TEST(WideScan, DiffCreateIdenticalAcrossKernels)
 {
     Rng rng(99);
-    // Full Diff::create equality, including non-word tails and gap
-    // coalescing, across kernels — the four runtime scan sites all
-    // reduce to this traversal.
+    // Full Diff::create equality, including non-word tails, across
+    // kernels — the four runtime scan sites all reduce to this
+    // traversal.
     for (int trial = 0; trial < 40; ++trial) {
         const std::uint32_t len =
             1 + static_cast<std::uint32_t>(rng.below(5000));
@@ -230,16 +230,13 @@ TEST(WideScan, DiffCreateIdenticalAcrossKernels)
         const int nmods = static_cast<int>(rng.below(200));
         for (int i = 0; i < nmods; ++i)
             cur[rng.below(len)] ^= std::byte{0x11};
-        const std::uint32_t gap =
-            static_cast<std::uint32_t>(rng.below(4));
 
         const Diff scalar = Diff::create(cur.data(), twin.data(), len,
-                                         nullptr,
-                                         {ScanKernel::Scalar, gap});
+                                         nullptr, ScanKernel::Scalar);
         const Diff wide = Diff::create(cur.data(), twin.data(), len,
-                                       nullptr, {ScanKernel::Wide, gap});
+                                       nullptr, ScanKernel::Wide);
         const Diff simd = Diff::create(cur.data(), twin.data(), len,
-                                       nullptr, {ScanKernel::Simd, gap});
+                                       nullptr, ScanKernel::Simd);
         EXPECT_EQ(wide, scalar);
         EXPECT_EQ(simd, scalar);
 
