@@ -464,11 +464,13 @@ TEST(LrcWordExactDiff, GrantSideDiffLeavesConcurrentWordIntact)
             rt.acquire(4, AccessMode::Write); // B's record: p @ vtSum 1
             rt.release(4);
             rt.acquire(3, AccessMode::Write); // A's record: p @ vtSum 3
-            ASSERT_EQ(a.get(1), 42)
+            // EXPECT, not ASSERT: returning early would skip the
+            // barrier below and leave the other nodes waiting forever.
+            EXPECT_EQ(a.get(1), 42)
                 << "A's diff carried word 1 with its stale zero and "
                    "clobbered B's concurrent write";
-            ASSERT_EQ(a.get(0), 1);
-            ASSERT_EQ(a.get(4), 2);
+            EXPECT_EQ(a.get(0), 1);
+            EXPECT_EQ(a.get(4), 2);
             rt.release(3);
         }
         rt.barrier(1);
