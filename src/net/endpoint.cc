@@ -1,6 +1,7 @@
 #include "net/endpoint.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "net/failure_detector.hh"
 #include "util/buffer_pool.hh"
@@ -209,19 +210,8 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
 {
     if (peer_down != nullptr)
         *peer_down = false;
-    const std::uint64_t token = nextToken.fetch_add(1);
     PendingReply slot;
-    {
-        std::lock_guard<std::mutex> g(pendingMu);
-        pending.emplace(token, &slot);
-    }
-
-    // Fault-tolerant round trips keep a payload copy for retransmits.
-    const bool retransmittable =
-        faultsOn && FaultInjector::droppable(type);
-    std::vector<std::byte> retransmit_copy;
-    if (retransmittable)
-        retransmit_copy = payload;
+    const std::uint64_t token = openCall(slot);
 
     Message msg;
     msg.src = id;
@@ -230,8 +220,40 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
     msg.replyToken = token;
     msg.vtSendNs = clock().now();
     msg.payload = std::move(payload);
+    // Fault-tolerant round trips keep a copy of the request for
+    // retransmits.
+    std::optional<Message> retry;
+    if (faultsOn && FaultInjector::droppable(type))
+        retry = msg;
     net->send(std::move(msg), stats());
+    return awaitReply(slot, token, dst, retry ? &*retry : nullptr,
+                      peer_down);
+}
 
+Message
+Endpoint::callHolding(std::unique_lock<std::mutex> &held,
+                      const std::function<void(std::uint64_t)> &send_request)
+{
+    PendingReply slot;
+    const std::uint64_t token = openCall(slot);
+    send_request(token);
+    held.unlock();
+    return awaitReply(slot, token, /*dst=*/-1, nullptr, nullptr);
+}
+
+std::uint64_t
+Endpoint::openCall(PendingReply &slot)
+{
+    const std::uint64_t token = nextToken.fetch_add(1);
+    std::lock_guard<std::mutex> g(pendingMu);
+    pending.emplace(token, &slot);
+    return token;
+}
+
+Message
+Endpoint::awaitReply(PendingReply &slot, std::uint64_t token, NodeId dst,
+                     const Message *retry, bool *peer_down)
+{
     // Abandon the wait (typed PeerUnavailable outcome): unpark the
     // token under pendingMu so neither delivery path can fill a dead
     // stack slot. Both fills flip ready while holding pendingMu, so a
@@ -246,7 +268,7 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
         return true;
     };
 
-    if (!retransmittable) {
+    if (retry == nullptr) {
         if (detector == nullptr) {
             while (slot.ready.load(std::memory_order_acquire) == 0)
                 slot.ready.wait(0, std::memory_order_acquire);
@@ -302,18 +324,13 @@ Endpoint::call(NodeId dst, MsgType type, std::vector<std::byte> payload,
             DSM_ASSERT(attempts < 10000,
                        "retransmit storm on node %d: %s -> %d never "
                        "answered",
-                       id, toString(type), dst);
-            Message retry;
-            retry.src = id;
-            retry.dst = dst;
-            retry.type = type;
-            retry.replyToken = token;
-            retry.vtSendNs = clock().now();
-            retry.attempt = static_cast<std::uint8_t>(
+                       id, toString(retry->type), dst);
+            Message again = *retry;
+            again.vtSendNs = clock().now();
+            again.attempt = static_cast<std::uint8_t>(
                 std::min<std::uint32_t>(attempts, 255));
-            retry.payload = retransmit_copy;
             stats().retransmissions++;
-            net->send(std::move(retry), stats());
+            net->send(std::move(again), stats());
             deadline_ns = std::min(deadline_ns * 2, retransmitCapNs);
         }
     }

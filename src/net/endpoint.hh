@@ -9,7 +9,7 @@
  * Handler discipline (deadlock freedom): handlers run on the service
  * thread, may send messages, but must never perform a blocking call().
  * The application thread must not hold runtime state locks across
- * call().
+ * call(); callHolding() releases the caller's mutex before it waits.
  */
 
 #ifndef DSM_NET_ENDPOINT_HH
@@ -102,6 +102,20 @@ class Endpoint : public ReplyReceiver
      */
     Message call(NodeId dst, MsgType type, std::vector<std::byte> payload,
                  bool *peer_down);
+
+    /**
+     * Blocking call whose request the caller sends itself while it
+     * still holds @p held. @p send_request gets the call's token once
+     * the reply slot is registered and must send one non-droppable
+     * request carrying it (send() with the token as @p reply_token).
+     * @p held is released after it returns, then the caller waits
+     * exactly as in call() (never retransmits, never abandons). A lock
+     * manager's own request takes this path, so that its forward
+     * leaves under the service mutex, in the manager's order.
+     */
+    Message callHolding(
+        std::unique_lock<std::mutex> &held,
+        const std::function<void(std::uint64_t)> &send_request);
 
     /**
      * Arm the fault-tolerant request path: call() keeps a copy of the
@@ -256,6 +270,19 @@ class Endpoint : public ReplyReceiver
         MsgType replyType = MsgType::Invalid;
         std::vector<std::byte> replyPayload;
     };
+
+    /** Register @p slot for a new call; returns the call's token. */
+    std::uint64_t openCall(PendingReply &slot);
+
+    /**
+     * The one wait of every call: park until @p slot is filled, then
+     * do the receiver-side accounting of a bypassed reply and the
+     * causal clock jump. @p retry is the request to resend on each
+     * deadline (droppable requests under faults), else null. @p
+     * peer_down as in call(), with @p dst the peer it watches.
+     */
+    Message awaitReply(PendingReply &slot, std::uint64_t token, NodeId dst,
+                       const Message *retry, bool *peer_down);
 
     void serviceLoop();
 

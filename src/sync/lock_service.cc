@@ -100,7 +100,7 @@ LockService::pendingRemoteCount(LockId lock) const
 void
 LockService::acquire(LockId lock, AccessMode mode)
 {
-    std::vector<std::byte> info;
+    Message reply;
     {
         std::unique_lock<std::mutex> g(mu);
         LockLocal &state = localState(lock);
@@ -190,16 +190,26 @@ LockService::acquire(LockId lock, AccessMode mode)
         // that miss while we fetch park above and take the lock by
         // local hand-off afterwards.
         state.fetching = true;
+        std::vector<std::byte> info;
         if (hooks.makeRequest)
             info = hooks.makeRequest(lock, mode);
-    }
 
-    WireWriter w;
-    w.putU32(lock);
-    w.putU8(static_cast<std::uint8_t>(mode));
-    w.putBlob(info);
-    Message reply = ep.call(managerOf(lock), MsgType::LockRequest,
-                            w.take());
+        if (isManager(lock)) {
+            // Our own request at our own manager: run the manager step
+            // here and send its forward under mu, as handleRequest
+            // does, so forwards to one owner keep the manager's order.
+            reply = ep.callHolding(g, [&](std::uint64_t token) {
+                managerStep(lock, {ep.self(), token, mode, std::move(info)});
+            });
+        } else {
+            g.unlock();
+            WireWriter w;
+            w.putU32(lock);
+            w.putU8(static_cast<std::uint8_t>(mode));
+            w.putBlob(info);
+            reply = ep.call(managerOf(lock), MsgType::LockRequest, w.take());
+        }
+    }
     ep.clock().add(ep.costModel().lockHandlingNs);
 
     {
@@ -365,6 +375,12 @@ LockService::handleRequest(Message &msg)
     std::vector<std::byte> info = r.getBlob();
 
     std::lock_guard<std::mutex> g(mu);
+    managerStep(lock, {msg.src, msg.replyToken, mode, std::move(info)});
+}
+
+void
+LockService::managerStep(LockId lock, Forward fwd)
+{
     DSM_ASSERT(isManager(lock), "lock request at non-manager");
     ep.clock().add(ep.costModel().lockHandlingNs);
     ep.stats().lockForwards++;
@@ -372,30 +388,33 @@ LockService::handleRequest(Message &msg)
     auto [it, inserted] = managed.try_emplace(lock);
     if (inserted)
         it->second.lastOwner = ep.self();
-    NodeId target = it->second.lastOwner;
-    if (mode == AccessMode::Write)
-        it->second.lastOwner = msg.src;
+    const NodeId target = it->second.lastOwner;
+    // The node that last requested the lock for write owns it, or is
+    // fetching it while its siblings park, so its acquire is local.
+    DSM_ASSERT(target != fwd.origin, "lock %u requested by its last owner %d",
+               lock, target);
+    if (fwd.mode == AccessMode::Write)
+        it->second.lastOwner = fwd.origin;
 
-    Forward fwd{msg.src, msg.replyToken, mode, std::move(info)};
     if (target == ep.self()) {
         LockLocal &state = localState(lock);
         if (idleForGrant(state))
             grantNow(lock, state, fwd);
         else
             state.pending.push_back(std::move(fwd));
-    } else {
-        // Record the forward before sending: if the target dies, the
-        // recovery hook re-forwards from this last stable record.
-        it->second.hasForward = true;
-        it->second.forwardTarget = target;
-        it->second.lastForward = fwd;
-        WireWriter w;
-        w.putU32(lock);
-        w.putU8(static_cast<std::uint8_t>(mode));
-        w.putU16(static_cast<std::uint16_t>(fwd.origin));
-        w.putBlob(fwd.requestInfo);
-        ep.send(target, MsgType::LockForward, w.take(), fwd.token);
+        return;
     }
+    // Record the forward before sending: if the target dies, the
+    // recovery hook re-forwards from this last stable record.
+    it->second.hasForward = true;
+    it->second.forwardTarget = target;
+    it->second.lastForward = fwd;
+    WireWriter w;
+    w.putU32(lock);
+    w.putU8(static_cast<std::uint8_t>(fwd.mode));
+    w.putU16(static_cast<std::uint16_t>(fwd.origin));
+    w.putBlob(fwd.requestInfo);
+    ep.send(target, MsgType::LockForward, w.take(), fwd.token);
 }
 
 void

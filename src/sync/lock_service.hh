@@ -9,7 +9,12 @@
  * id). A request goes to the manager, which forwards it to the
  * processor that last requested the lock; the grant travels directly
  * from that owner to the requester. Requests for held locks queue at
- * the owner and are granted on release.
+ * the owner and are granted on release. The manager's own requests
+ * never touch the wire on their way to it: the acquiring thread runs
+ * the manager step in place and sends the forward straight to the
+ * last owner (two messages instead of three). Every forward, in place
+ * or from the service thread, leaves under the service mutex, so
+ * forwards to one owner leave in the manager's order.
  *
  * The consistency payloads (EC: incarnation numbers + data updates;
  * LRC: vectors + write notices) are produced and consumed through the
@@ -163,8 +168,9 @@ class LockService
     /**
      * Orphaned-lock reclamation, run by the endpoint's recovery hook
      * when @p peer transitions down -> healthy: every managed lock
-     * whose most recent forward targeted @p peer is re-forwarded with
-     * the original token and request info, so a request the outage
+     * whose most recent forward (a remote requester's or the
+     * manager's own) targeted @p peer is re-forwarded with the
+     * original token and request info, so a request the outage
      * orphaned is re-granted from the manager's last stable record.
      * The owner-side token dedup window makes the replay idempotent
      * when the original forward survived (parked in the inbox) after
@@ -293,8 +299,21 @@ class LockService
                state.localWaiters == 0;
     }
 
+    /** A LockRequest from another node: the service thread runs the
+     *  manager step for it. The manager's own requests never arrive
+     *  here; acquire() runs the step in place. */
     void handleRequest(Message &msg);
     void handleForward(Message &msg);
+
+    /**
+     * The manager step (Section 6), for a remote request or the
+     * manager's own: charge lockHandlingNs, count lockForwards, look up
+     * and advance the lock's chain tail, then grant or queue locally
+     * when the tail is this node, or record the forward for orphan
+     * replay and send it to the tail. Caller holds mu, so forwards to
+     * one owner leave in the order the manager took its requests.
+     */
+    void managerStep(LockId lock, Forward fwd);
 
     LockLocal &localState(LockId lock);
 

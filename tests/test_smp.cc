@@ -102,6 +102,7 @@ TEST(SmpNodes, HandoffShortCircuitsAfterRemoteFetch)
     Cluster cluster(cc);
 
     constexpr int kIters = 100;
+    std::atomic<bool> taken{false};
     RunResult r = cluster.run([&](Runtime &rt) {
         auto a = SharedArray<std::uint64_t>::alloc(rt, 8, 4, "ctr");
         rt.barrier(0);
@@ -109,6 +110,13 @@ TEST(SmpNodes, HandoffShortCircuitsAfterRemoteFetch)
             for (int i = 0; i < kIters; ++i) {
                 rt.acquire(1, AccessMode::Write);
                 a.set(1, a.get(1) + 1);
+                // The first holder keeps the lock until its sibling
+                // has parked behind it, so at least one transfer is a
+                // hand-off whatever the host schedule.
+                if (!taken.exchange(true)) {
+                    while (rt.lockService().localWaiterCount(1) != 1)
+                        std::this_thread::yield();
+                }
                 rt.release(1);
             }
         }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the synchronization layer: vector times, distributed
- * lock protocol (manager forwarding, queueing, mutual exclusion, read
+ * lock protocol (manager forwarding, the manager's in-place step for
+ * its own requests, orphan replay, queueing, mutual exclusion, read
  * caching), and barriers.
  */
 
@@ -135,6 +136,70 @@ class SyncFixture : public ::testing::Test
             fn();
             node->appStats += ctx.stats;
         });
+    }
+
+    /** Node @p i takes @p lock in @p mode and releases it, on a
+     *  worker thread. */
+    void
+    takeAndRelease(int i, LockId lock, AccessMode mode)
+    {
+        spawnNode(i, [&] {
+            nodes[i]->locks.acquire(lock, mode);
+            nodes[i]->locks.release(lock);
+        }).join();
+    }
+
+    /** Messages sent cluster-wide: service threads' and workers'. */
+    std::uint64_t
+    messagesSent() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &node : nodes)
+            n += node->stats.messagesSent + node->appStats.messagesSent;
+        return n;
+    }
+
+    /** Manager steps node @p i ran, on either thread. */
+    std::uint64_t
+    lockForwards(int i) const
+    {
+        return nodes[i]->stats.lockForwards +
+               nodes[i]->appStats.lockForwards;
+    }
+
+    /**
+     * Node 1 takes lock 4, which node 0 manages, for write and
+     * releases it; node 0 then acquires it in @p mode. The request is
+     * at its own manager, so the manager step runs in node 0's thread
+     * and forwards straight to node 1: two messages and two transits,
+     * where a self-addressed request made three of each.
+     */
+    void
+    expectManagerStepInPlace(AccessMode mode)
+    {
+        constexpr LockId kLock = 4;
+        takeAndRelease(1, kLock, AccessMode::Write);
+        // Node 0 starts no earlier than the owner's clock, so the
+        // forward lands on an owner that is not ahead of it.
+        nodes[0]->clock.advanceTo(nodes[1]->clock.now());
+        const std::uint64_t sent = messagesSent();
+        const std::uint64_t forwards = lockForwards(0);
+        const std::uint64_t start = nodes[0]->clock.now();
+
+        takeAndRelease(0, kLock, mode);
+
+        EXPECT_EQ(messagesSent() - sent, 2u);
+        EXPECT_EQ(lockForwards(0) - forwards, 1u);
+        // Forward: lock u32, mode u8, origin u16, empty request-info
+        // blob (u32 length). Grant: lock u32, mode u8, no payload.
+        const std::uint64_t forward_transit =
+            cm.transitNs(Message::kHeaderBytes + 4 + 1 + 2 + 4);
+        const std::uint64_t grant_transit =
+            cm.transitNs(Message::kHeaderBytes + 4 + 1);
+        // Handling: the manager step, node 1's forward and its grant,
+        // node 0's grant.
+        EXPECT_EQ(nodes[0]->clock.now() - start,
+                  4 * cm.lockHandlingNs + forward_transit + grant_transit);
     }
 
     CostModel cm;
@@ -273,6 +338,45 @@ TEST_F(SyncFixture, ForwardDedupKeysOnOriginAndToken)
     // The queued grants are never released: the fixture tears the
     // cluster down with the lock still held, which is exactly what we
     // want — no reply choreography, just the dedup keying.
+}
+
+TEST_F(SyncFixture, ManagersOwnWriteRequestSkipsTheWire)
+{
+    expectManagerStepInPlace(AccessMode::Write);
+}
+
+TEST_F(SyncFixture, ManagersOwnReadRequestSkipsTheWire)
+{
+    expectManagerStepInPlace(AccessMode::Read);
+}
+
+TEST_F(SyncFixture, OrphanReplayOfAnInPlaceForwardIsDeduped)
+{
+    // The manager's own forward is recorded for orphan replay like any
+    // other. Node 0 (lock 4's manager) takes the lock from owner node
+    // 1 in place and releases it; then node 1 "recovers". The replay
+    // carries the (origin, token) node 1 already granted, so node 1
+    // drops it: nothing queues and no second grant is sent.
+    constexpr LockId kLock = 4;
+    takeAndRelease(1, kLock, AccessMode::Write);
+    takeAndRelease(0, kLock, AccessMode::Write);
+
+    const std::uint64_t sent_by_owner = nodes[1]->stats.messagesSent;
+    nodes[0]->locks.onPeerRecovered(1);
+    EXPECT_EQ(nodes[0]->stats.orphanForwardsReplayed, 1u);
+
+    // Lock 5 is node 1's own: node 0's request for it follows the
+    // replay on the 0 -> 1 channel, so once it is granted node 1 has
+    // handled the replay.
+    takeAndRelease(0, 5, AccessMode::Write);
+    EXPECT_EQ(nodes[1]->locks.pendingRemoteCount(kLock), 0u);
+    EXPECT_EQ(nodes[1]->stats.messagesSent - sent_by_owner, 1u)
+        << "only lock 5's grant";
+
+    // Node 0 still owns lock 4: it takes and releases it locally.
+    const std::uint64_t sent = messagesSent();
+    takeAndRelease(0, kLock, AccessMode::Write);
+    EXPECT_EQ(messagesSent(), sent);
 }
 
 TEST_F(SyncFixture, BarrierBlocksUntilAllArrive)
