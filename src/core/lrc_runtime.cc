@@ -1174,7 +1174,10 @@ LrcRuntime::fetchDiffs(PageId page)
             stats().diffPagesPiggybacked++;
     }
     {
-        // Save for possible future transmission (Section 5.2).
+        // Save for possible future transmission (Section 5.2). A
+        // trimmed diff is stored trimmed: the later diff of its writer
+        // that holds its missing words is stored too, and any reply
+        // that ships the one ships the other (DESIGN.md §10).
         std::lock_guard<std::mutex> dg(nl->diff);
         for (FetchedDiff &f : fetched) {
             if (f.applied) {
@@ -1525,13 +1528,41 @@ LrcRuntime::encodeDiffsNewerThan(WireWriter &w, PageId page,
         if (tsInterval(key) > req_vt[tsProc(key)])
             send.emplace_back(key, &it->second);
     }
+    // Ship each of a writer's words once (DESIGN.md §10): walking its
+    // entries, which the store lists in (writer, interval) order, from
+    // newest to oldest, leave out of each the words that its later
+    // entries in this reply rewrite. The receiver applies them in sum
+    // order, so the later entry writes every word left out.
+    std::vector<Diff> trimmed(send.size());
+    std::vector<const Diff *> ship(send.size());
+    ByteRanges rewritten;
+    std::uint64_t trim_words = 0;
+    for (std::size_t i = send.size(); i-- > 0;) {
+        const NodeId writer = tsProc(send[i].first);
+        const Diff &stored = send[i].second->diff;
+        if (i + 1 == send.size() || tsProc(send[i + 1].first) != writer) {
+            rewritten.clear();
+            ship[i] = &stored;
+        } else {
+            trimmed[i] = stored.without(rewritten);
+            ship[i] = &trimmed[i];
+            trim_words += Diff::comparedWords(
+                static_cast<std::uint32_t>(stored.dataBytes()));
+            stats().diffBytesTrimmed +=
+                stored.wireBytes() - trimmed[i].wireBytes();
+        }
+        if (i > 0 && tsProc(send[i - 1].first) == writer)
+            stored.addRunsTo(rewritten);
+    }
+    clock().add(costModel().perWordScanNs * trim_words);
     w.putU32(static_cast<std::uint32_t>(send.size()));
-    for (const auto &[key, entry] : send) {
+    for (std::size_t i = 0; i < send.size(); ++i) {
+        const auto &[key, entry] = send[i];
         w.putU16(static_cast<std::uint16_t>(tsProc(key)));
         w.putU32(tsInterval(key));
         w.putU64(entry->vtSum);
-        entry->diff.encode(w);
-        stats().diffBytesSent += entry->diff.wireBytes();
+        ship[i]->encode(w);
+        stats().diffBytesSent += ship[i]->wireBytes();
     }
 }
 

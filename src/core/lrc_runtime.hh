@@ -313,7 +313,9 @@ class LrcRuntime : public Runtime
                      NodeId new_home);
 
     /** Encode every stored diff of @p page newer than @p req_vt (one
-     *  count prefix plus (proc, idx, vtSum, diff) tuples). */
+     *  count prefix plus (proc, idx, vtSum, diff) tuples), each
+     *  without the words a later diff of its writer in this reply
+     *  rewrites (DESIGN.md §10). */
     void encodeDiffsNewerThan(WireWriter &w, PageId page,
                               const VectorTime &req_vt);
 

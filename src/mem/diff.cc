@@ -1,5 +1,6 @@
 #include "mem/diff.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "mem/wide_scan.hh"
@@ -60,6 +61,63 @@ Diff::apply(std::byte *dst, NodeStats *stats) const
     }
     if (stats)
         stats->diffsApplied++;
+}
+
+Diff
+Diff::without(const ByteRanges &rewritten) const
+{
+    Diff d;
+    d.areaLen = areaLen;
+    auto keep = [&](const DiffRun &run, std::uint32_t lo,
+                    std::uint32_t hi) {
+        const std::byte *src =
+            payload.data() + run.dataPos + (lo - run.offset);
+        d.runs.push_back(
+            {lo, hi - lo, static_cast<std::uint32_t>(d.payload.size())});
+        d.payload.insert(d.payload.end(), src, src + (hi - lo));
+    };
+    auto next = rewritten.begin();
+    for (const DiffRun &run : runs) {
+        const std::uint32_t end = run.offset + run.size;
+        while (next != rewritten.end() && next->second <= run.offset)
+            ++next;
+        std::uint32_t from = run.offset;
+        for (auto c = next; c != rewritten.end() && c->first < end; ++c) {
+            const std::uint32_t lo = std::max(c->first, from);
+            const std::uint32_t hi = std::min(c->second, end);
+            // A cut inside the kept stretch splits it in two.
+            if (lo > from && hi < end && hi - lo <= kRunHeaderBytes)
+                continue;
+            if (lo > from)
+                keep(run, from, lo);
+            from = hi;
+        }
+        if (from < end)
+            keep(run, from, end);
+    }
+    return d;
+}
+
+void
+Diff::addRunsTo(ByteRanges &ranges) const
+{
+    ByteRanges merged;
+    merged.reserve(ranges.size() + runs.size());
+    auto push = [&](std::uint32_t lo, std::uint32_t hi) {
+        if (!merged.empty() && lo <= merged.back().second)
+            merged.back().second = std::max(merged.back().second, hi);
+        else
+            merged.emplace_back(lo, hi);
+    };
+    std::size_t i = 0;
+    for (const DiffRun &run : runs) {
+        for (; i < ranges.size() && ranges[i].first < run.offset; ++i)
+            push(ranges[i].first, ranges[i].second);
+        push(run.offset, run.offset + run.size);
+    }
+    for (; i < ranges.size(); ++i)
+        push(ranges[i].first, ranges[i].second);
+    ranges.swap(merged);
 }
 
 std::uint64_t

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mem/wide_scan.hh"
@@ -35,6 +36,10 @@ struct DiffRun
 
     bool operator==(const DiffRun &other) const = default;
 };
+
+/** Sorted, disjoint, non-adjacent byte ranges [first, second) of a
+ *  diffed area. */
+using ByteRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 class Diff
 {
@@ -77,6 +82,20 @@ class Diff
 
     /** Copy every run onto @p dst (an area of at least length()). */
     void apply(std::byte *dst, NodeStats *stats = nullptr) const;
+
+    /**
+     * This diff without the bytes inside @p rewritten, for shipping
+     * it next to the later diffs that rewrite them (DESIGN.md §10;
+     * addRunsTo builds @p rewritten). The walk is over run
+     * boundaries, not bytes. Every cut ends on a run boundary of some
+     * diff, so the runs stay word-exact. A stretch strictly inside
+     * one run is cut only when it is longer than the run header the
+     * cut adds, so the result is never larger on the wire.
+     */
+    Diff without(const ByteRanges &rewritten) const;
+
+    /** Merge this diff's runs into @p ranges. */
+    void addRunsTo(ByteRanges &ranges) const;
 
     bool empty() const { return runs.empty(); }
 

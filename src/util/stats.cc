@@ -38,6 +38,7 @@ forEachField(Stats &s, Fn fn)
     fn("diffsApplied", s.diffsApplied);
     fn("diffWordsCompared", s.diffWordsCompared);
     fn("diffBytesSent", s.diffBytesSent);
+    fn("diffBytesTrimmed", s.diffBytesTrimmed);
     fn("tsWordsScanned", s.tsWordsScanned);
     fn("tsRunsSent", s.tsRunsSent);
     fn("tsBytesSent", s.tsBytesSent);

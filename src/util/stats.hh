@@ -89,6 +89,10 @@ struct NodeStats
     std::uint64_t diffsApplied = 0;
     std::uint64_t diffWordsCompared = 0;
     std::uint64_t diffBytesSent = 0;
+    /** Wire bytes a homeless LRC diff reply left out because a later
+     *  diff of the same writer in that reply rewrites them (DESIGN.md
+     *  §10); diffBytesSent counts what was sent. */
+    std::uint64_t diffBytesTrimmed = 0;
     std::uint64_t tsWordsScanned = 0;
     std::uint64_t tsRunsSent = 0;
     std::uint64_t tsBytesSent = 0;

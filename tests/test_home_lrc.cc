@@ -513,10 +513,14 @@ TEST(HomeLrc, ReplyBypassOrderingUnderMigrationAndForwarding)
                 rt.barrier(1 + 2 * round);
                 const int peer = (w + 1) % nw;
                 rt.acquire(9, AccessMode::Read);
-                for (int i = 0; i < chunk; i += 5)
-                    ASSERT_EQ(a.get(peer * chunk + i),
+                // EXPECT, not ASSERT: an ASSERT would leave the worker
+                // before release(9) and the next barrier, and the
+                // cluster would hang instead of failing.
+                for (int i = 0; i < chunk; i += 5) {
+                    EXPECT_EQ(a.get(peer * chunk + i),
                               round * 10000 + peer * 100 + i)
                         << "threads " << threads << " round " << round;
+                }
                 rt.release(9);
                 rt.barrier(2 + 2 * round);
             }

@@ -464,5 +464,133 @@ TEST(LrcRouting, SmpNodesAskEveryPendingWriter)
     EXPECT_EQ(r.total.diffsDiscarded, 0u);
 }
 
+// ---------------------------------------------------------------------
+// Trimming a diff reply: each stored diff ships without the words that
+// a later diff of the same writer in the same reply rewrites.
+
+/** Wire bytes of a diff with no run left, what trimming one one-word
+ *  run off a diff saves, and a diff of two separate words. */
+constexpr std::uint64_t kEmptyDiffBytes = Diff::kHeaderBytes;
+constexpr std::uint64_t kWordRunBytes =
+    Diff::kRunHeaderBytes + Diff::kWordBytes;
+constexpr std::uint64_t kTwoWordDiffBytes =
+    Diff::kHeaderBytes + 2 * kWordRunBytes;
+
+TEST(LrcTrim, ReplyShipsEachWordOnce)
+{
+    // Node 1 writes word A in each of four epochs and word B in the
+    // first; node 0 then reads both with one request.
+    constexpr int kA = 1;
+    constexpr int kB = 5;
+    ClusterConfig cc = gcConfig("LRC-diff", 2);
+    cc.gcAtBarriers = false; // no validation round ships these diffs
+    Cluster cluster(cc);
+    RunResult r = cluster.run([](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 64);
+        rt.barrier(0);
+        for (int epoch = 1; epoch <= 4; ++epoch) {
+            if (rt.self() == 1) {
+                a.set(kA, 100 * epoch);
+                if (epoch == 1)
+                    a.set(kB, 7);
+            }
+            rt.barrier(epoch);
+        }
+        if (rt.self() == 0) {
+            EXPECT_EQ(a.get(kA), 400);
+            EXPECT_EQ(a.get(kB), 7);
+        }
+    });
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[0].diffsApplied, 4u);
+    // The reply's four entries: B alone, two bare headers, A. Shipping
+    // A in all four took 92 B.
+    EXPECT_EQ(r.total.diffBytesSent,
+              2 * kOneWordDiffBytes + 2 * kEmptyDiffBytes);
+    EXPECT_EQ(r.total.diffBytesTrimmed, 3 * kWordRunBytes);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
+}
+
+TEST(LrcTrim, ServerReshipsTrimmedDiffsExactly)
+{
+    // Epoch 1: node 1 writes A and B (interval x1) while node 2 writes
+    // E (y1). Epoch 2: node 3 reads the page, so its copy holds x1 and
+    // y1. Epochs 3 and 4: node 1 writes A, C and E (x2), then A (x3).
+    // Epoch 5: node 2 fetches them trimmed (x1 keeps B, x2 keeps C and
+    // E) and writes D (y2), so its record knows x3 and it serves node
+    // 1's diffs. Epoch 6: node 0 gets x1, x2, x3, y1 and y2 from node
+    // 2; node 3, whose copy holds x1, gets x2, x3 and y2. E's last
+    // writer is x2, which node 2's reply lists before y1: trimming x2
+    // against node 2's own diffs would leave E at y1's value. No epoch
+    // reads a word another node writes in it.
+    constexpr int kA = 1, kB = 5, kC = 9, kD = 13, kE = 17;
+    ClusterConfig cc = gcConfig("LRC-diff", 4);
+    cc.gcAtBarriers = false;
+    Cluster cluster(cc);
+    RunResult r = cluster.run([](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 64);
+        const int self = rt.self();
+        const auto expect_all = [&](int d) {
+            EXPECT_EQ(a.get(kA), 31) << "node " << self;
+            EXPECT_EQ(a.get(kB), 12) << "node " << self;
+            EXPECT_EQ(a.get(kC), 23) << "node " << self;
+            EXPECT_EQ(a.get(kD), d) << "node " << self;
+            EXPECT_EQ(a.get(kE), 25) << "node " << self;
+        };
+        rt.barrier(0);
+        if (self == 1) {
+            a.set(kA, 11);
+            a.set(kB, 12);
+        } else if (self == 2) {
+            a.set(kE, 52);
+        }
+        rt.barrier(1);
+        if (self == 3) {
+            EXPECT_EQ(a.get(kA), 11);
+            EXPECT_EQ(a.get(kB), 12);
+            EXPECT_EQ(a.get(kE), 52);
+        }
+        rt.barrier(2);
+        if (self == 1) {
+            a.set(kA, 21);
+            a.set(kC, 23);
+            a.set(kE, 25);
+        }
+        rt.barrier(3);
+        if (self == 1)
+            a.set(kA, 31);
+        rt.barrier(4);
+        if (self == 2) {
+            expect_all(0);
+            a.set(kD, 42);
+        }
+        rt.barrier(5);
+        if (self == 0 || self == 3)
+            expect_all(42);
+    });
+    // Node 3 asks nodes 1 and 2, then node 2; node 1 asks node 2 for
+    // y1 before it writes E; node 2 asks node 1; node 0 asks node 2
+    // only.
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[1].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[2].diffRequestsSent, 1u);
+    EXPECT_EQ(r.perNode[3].diffRequestsSent, 3u);
+    EXPECT_EQ(r.perNode[0].diffsApplied, 5u);
+    EXPECT_EQ(r.perNode[2].diffsApplied, 3u);
+    EXPECT_EQ(r.perNode[3].diffsApplied, 5u);
+    // Node 1 ships x1 whole to node 3 (A, B), then x1 (B), x2 (C, E)
+    // and x3 (A) to node 2, leaving A out twice.
+    EXPECT_EQ(r.perNode[1].diffBytesSent,
+              2 * kTwoWordDiffBytes + 2 * kOneWordDiffBytes);
+    EXPECT_EQ(r.perNode[1].diffBytesTrimmed, 2 * kWordRunBytes);
+    // Node 2 ships y1 to nodes 1 and 3; x1 (B), x2 (C, E), x3, y1 and
+    // y2 to node 0; x2 (C, E), x3 and y2 to node 3. What it stored
+    // trimmed needs no further trim.
+    EXPECT_EQ(r.perNode[2].diffBytesSent,
+              2 * kTwoWordDiffBytes + 8 * kOneWordDiffBytes);
+    EXPECT_EQ(r.perNode[2].diffBytesTrimmed, 0u);
+    EXPECT_EQ(r.total.diffsDiscarded, 0u);
+}
+
 } // namespace
 } // namespace dsm

@@ -309,5 +309,160 @@ TEST(HomeDiffApplication, ConvergesWithHomelessOrder)
     }
 }
 
+/**
+ * Trimming a writer's diffs for shipping (DESIGN.md §10): random
+ * histories of one area in which writer X rewrites overlapping words
+ * interval after interval, and other writers' diffs fall between X's
+ * in sum order. A concurrent writer's words are disjoint from X's; a
+ * happens-before ordered one may overlap them. From every threshold k,
+ * X's diffs above k shipped trimmed (each without the words its later
+ * ones rewrite), applied in sum order with all the others, must give
+ * the same bytes as shipping them whole. So must a server that stored
+ * them trimmed from an earlier threshold and trims them again.
+ */
+TEST(DiffTrim, LaterDiffsOfTheWriterRestoreEveryTrimmedWord)
+{
+    struct Entry
+    {
+        Diff diff;
+        std::uint64_t vtSum;
+        bool ofX;
+    };
+    // Trim X's diffs as one reply ships them: newest to oldest, each
+    // without the union of the later ones' runs.
+    const auto trim = [](const std::vector<Diff> &diffs) {
+        std::vector<Diff> out(diffs.size());
+        ByteRanges rewritten;
+        for (std::size_t i = diffs.size(); i-- > 0;) {
+            out[i] = diffs[i].without(rewritten);
+            diffs[i].addRunsTo(rewritten);
+        }
+        return out;
+    };
+
+    std::uint64_t saved = 0;
+    for (std::uint64_t trial = 0; trial < 200; ++trial) {
+        Rng rng(0x7e1full * 131 + trial);
+        // A trailing short word in some trials.
+        const auto len =
+            static_cast<std::uint32_t>(509 + rng.below(4));
+        const std::uint32_t words = (len + 3) / 4;
+
+        std::vector<std::byte> truth(len);
+        for (auto &b : truth)
+            b = static_cast<std::byte>(rng.below(256));
+        const std::vector<std::byte> base = truth;
+
+        std::vector<Entry> history; // sum order
+        const int rounds = static_cast<int>(rng.range(2, 8));
+        for (int round = 0; round < rounds; ++round) {
+            const std::vector<std::byte> twin = truth;
+            // Writer 0 is X. Each word goes to at most one of this
+            // round's concurrent writers, X most often.
+            const int writers = static_cast<int>(rng.range(1, 3));
+            std::vector<int> owner(words);
+            for (int &o : owner) {
+                o = rng.below(4) == 0
+                        ? -1
+                        : (rng.below(3) != 0
+                               ? 0
+                               : static_cast<int>(rng.below(writers)));
+            }
+            std::vector<Entry> round_entries;
+            for (int w = 0; w < writers; ++w) {
+                std::vector<std::byte> copy = twin;
+                const int nwrites = static_cast<int>(rng.range(1, 8));
+                for (int i = 0; i < nwrites; ++i) {
+                    const auto off =
+                        static_cast<std::uint32_t>(rng.below(len));
+                    const auto n = std::min<std::uint32_t>(
+                        static_cast<std::uint32_t>(1 + rng.below(40)),
+                        len - off);
+                    for (std::uint32_t b = off; b < off + n; ++b) {
+                        if (owner[b / 4] == w)
+                            copy[b] = static_cast<std::byte>(rng.below(256));
+                    }
+                }
+                for (std::uint32_t b = 0; b < len; ++b) {
+                    if (owner[b / 4] == w)
+                        truth[b] = copy[b];
+                }
+                const std::uint64_t vt_sum =
+                    static_cast<std::uint64_t>(round + 1) * 100 +
+                    rng.below(10);
+                round_entries.push_back(
+                    {Diff::create(copy.data(), twin.data(), len), vt_sum,
+                     w == 0});
+            }
+            std::sort(round_entries.begin(), round_entries.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return a.vtSum < b.vtSum;
+                      });
+            for (Entry &e : round_entries)
+                history.push_back(std::move(e));
+        }
+
+        std::vector<Diff> xs; // X's diffs, oldest first
+        for (const Entry &e : history) {
+            if (e.ofX)
+                xs.push_back(e.diff);
+        }
+        // Apply the history in sum order, X's i-th diff replaced by
+        // shipped[i - k] above threshold k.
+        const auto replay = [&](std::size_t k,
+                                const std::vector<Diff> &shipped) {
+            std::vector<std::byte> page = base;
+            std::size_t x = 0;
+            for (const Entry &e : history) {
+                if (!e.ofX)
+                    e.diff.apply(page.data());
+                else if (x++ < k)
+                    e.diff.apply(page.data());
+                else
+                    shipped[x - 1 - k].apply(page.data());
+            }
+            return page;
+        };
+
+        for (std::size_t k = 0; k <= xs.size(); ++k) {
+            SCOPED_TRACE("trial " + std::to_string(trial) +
+                         " threshold " + std::to_string(k));
+            const std::vector<Diff> whole(xs.begin() + k, xs.end());
+            ASSERT_EQ(replay(k, whole), truth);
+            const std::vector<Diff> trimmed = trim(whole);
+            ASSERT_EQ(replay(k, trimmed), truth);
+            for (std::size_t i = 0; i < whole.size(); ++i) {
+                // Never larger on the wire; word-exact runs carrying
+                // the stored bytes.
+                EXPECT_LE(trimmed[i].wireBytes(), whole[i].wireBytes());
+                saved += whole[i].wireBytes() - trimmed[i].wireBytes();
+                std::vector<std::byte> page = base;
+                whole[i].apply(page.data());
+                const std::vector<std::byte> before = page;
+                trimmed[i].apply(page.data());
+                EXPECT_EQ(page, before);
+                for (const DiffRun &run : trimmed[i].diffRuns()) {
+                    EXPECT_EQ(run.offset % 4, 0u);
+                    const std::uint32_t end = run.offset + run.size;
+                    EXPECT_TRUE(end % 4 == 0 || end == len);
+                }
+            }
+            if (!whole.empty()) {
+                EXPECT_EQ(trimmed.back(), whole.back());
+            }
+            // A server stored these trimmed and ships them again from
+            // any later threshold, trimming once more.
+            for (std::size_t k2 = k; k2 <= xs.size(); ++k2) {
+                const std::vector<Diff> stored(trimmed.begin() + (k2 - k),
+                                               trimmed.end());
+                ASSERT_EQ(replay(k2, trim(stored)), truth)
+                    << "reshipped from threshold " << k2;
+            }
+        }
+    }
+    // The histories overlap enough that trimming has work to do.
+    EXPECT_GT(saved, 0u);
+}
+
 } // namespace
 } // namespace dsm
