@@ -118,10 +118,13 @@ struct ClusterConfig
      * sends one batched request per responder (diffs at one app
      * thread per node: the page's undominated pending writers;
      * otherwise all of them);
-     * with this on, the batch also carries every other invalid page
-     * those responders cover. Off, the batch holds only the missed
-     * page — one round trip per (page, responder), at 12 extra wire
-     * bytes per round trip (the batch's page count and page id).
+     * with this on, the batch also carries the other invalid pages
+     * those responders cover, except, on an access miss, those whose
+     * bytes received riding along since their last miss or write
+     * reached the cost of one miss (DESIGN.md §10). Off, the batch
+     * holds only the missed page — one round trip per (page,
+     * responder), at 12 extra wire bytes per round trip (the batch's
+     * page count and page id).
      */
     bool batchDiffFetch = true;
 

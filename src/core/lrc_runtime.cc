@@ -12,8 +12,29 @@
 
 namespace dsm {
 
+namespace {
+
+/** LrcRuntime::missCostBytes under @p cm. With free wire bytes a
+ *  ride-along costs nothing, so no page ever reaches its bound. */
+std::uint64_t
+missCostBytesOf(const CostModel &cm)
+{
+    if (cm.perByteNs == 0)
+        return ~std::uint64_t{0};
+    return (cm.pageFaultNs + 2 * cm.msgFixedNs) / cm.perByteNs;
+}
+
+/** Reply bytes one ride-along counts per entry besides its payload:
+ *  a diff entry's (writer, interval, vtSum) header, and a timestamp
+ *  run's (first block, block count, stamp) header. */
+constexpr std::uint64_t kDiffEntryHeaderBytes = 2 + 4 + 8;
+constexpr std::uint64_t kTsRunHeaderBytes = 4 + 4 + 8;
+
+} // namespace
+
 LrcRuntime::LrcRuntime(const Deps &deps)
     : Runtime(deps),
+      missCostBytes(missCostBytesOf(deps.endpoint->costModel())),
       vt(deps.nprocs),
       ilog(deps.nprocs),
       pages(deps.arena->numPages(),
@@ -93,6 +114,23 @@ LrcRuntime::meta(PageId page)
     if (inserted)
         it->second.copyVt = VectorTime(numProcs);
     return it->second;
+}
+
+bool
+LrcRuntime::overRiderBound(const PageMeta &m) const
+{
+    const std::uint64_t bound =
+        missCostBytes > (~std::uint64_t{0} >> m.boundShift)
+            ? ~std::uint64_t{0}
+            : missCostBytes << m.boundShift;
+    return m.riderBytes >= bound;
+}
+
+void
+LrcRuntime::addRiderBytes(PageMeta &m, std::uint64_t bytes)
+{
+    m.riderBytes = std::min(m.riderBytes, ~std::uint64_t{0} - bytes) +
+                   bytes;
 }
 
 void
@@ -199,8 +237,12 @@ LrcRuntime::closeInterval()
     if (homeMode())
         hg.lock();
     for (PageId p : modified) {
-        const std::uint32_t prev_idx = meta(p).copyVt[id];
-        meta(p).copyVt[id] = idx;
+        PageMeta &pm = meta(p);
+        const std::uint32_t prev_idx = pm.copyVt[id];
+        pm.copyVt[id] = idx;
+        // A write is a use this node observes: the page rides along
+        // again until it has cost one more miss (DESIGN.md §10).
+        pm.riderBytes = 0;
         const GlobalAddr base = arena->pageBase(p);
         std::lock_guard<std::mutex> sg(nl->shardFor(p));
         if (usesTwinning()) {
@@ -766,8 +808,10 @@ LrcRuntime::preBarrier()
             continue;
         // Proactive fetch, not an access fault: skip fetchPage's trap
         // accounting (accessMisses / pageFaultNs) so GC-on vs GC-off
-        // ablations attribute this traffic to GC, not to misses.
-        fetchPageData(p);
+        // ablations attribute this traffic to GC, not to misses, and
+        // let every candidate ride along, counting nothing: GC must
+        // bring every invalid page current anyway.
+        fetchPageData(p, false);
     }
     {
         std::lock_guard<std::mutex> g(nl->core);
@@ -871,11 +915,11 @@ LrcRuntime::fetchPage(PageId page)
 {
     stats().accessMisses++;
     clock().add(costModel().pageFaultNs);
-    fetchPageData(page);
+    fetchPageData(page, true);
 }
 
 void
-LrcRuntime::fetchPageData(PageId page)
+LrcRuntime::fetchPageData(PageId page, bool miss)
 {
     // One fetch per page at a time. Siblings (SMP nodes) that miss the
     // same page wait for the in-flight fetch instead of issuing
@@ -897,9 +941,9 @@ LrcRuntime::fetchPageData(PageId page)
         if (homeMode())
             fetchFromHome(page);
         else if (usesDiffing())
-            fetchDiffs(page);
+            fetchDiffs(page, miss);
         else
-            fetchTimestamps(page);
+            fetchTimestamps(page, miss);
     } while (pages.access(page) == PageAccess::None);
     {
         std::lock_guard<std::mutex> g(nl->core);
@@ -1037,7 +1081,7 @@ LrcRuntime::BatchPageReq::askedOf(NodeId q) const
 }
 
 void
-LrcRuntime::snapshotBatchTargets(PageId page,
+LrcRuntime::snapshotBatchTargets(PageId page, bool miss,
                                  std::vector<NodeId> &responders,
                                  std::vector<BatchPageReq> &reqs,
                                  VectorTime &log_cov,
@@ -1072,7 +1116,20 @@ LrcRuntime::snapshotBatchTargets(PageId page,
         reqs.push_back(std::move(pr));
     };
 
-    const PageMeta &m = meta(page);
+    PageMeta &m = meta(page);
+    // The ride-along rule (DESIGN.md §10) acts on access misses only.
+    // A miss on a page over its bound means skipping it was wrong:
+    // double its bound and let this one fetch take every candidate.
+    bool skip_over_bound = miss;
+    if (miss) {
+        if (overRiderBound(m)) {
+            stats().piggybackWrongSkips++;
+            if (m.boundShift < 63)
+                m.boundShift++;
+            skip_over_bound = false;
+        }
+        m.riderBytes = 0;
+    }
     pendingWriters(m.notices, m.copyVt, route, ilog, pw);
     std::uint64_t asked = 0;
     for (const auto &[proc, idx] : m.notices) {
@@ -1094,18 +1151,23 @@ LrcRuntime::snapshotBatchTargets(PageId page,
             continue;
         const PageMeta &m2 = meta(p2);
         pendingWriters(m2.notices, m2.copyVt, route, ilog, pw);
-        if ((pw.asked & ~asked) == 0)
-            add_req(p2, m2);
+        if ((pw.asked & ~asked) != 0)
+            continue;
+        if (skip_over_bound && overRiderBound(m2)) {
+            stats().piggybacksSkipped++;
+            continue;
+        }
+        add_req(p2, m2);
     }
 }
 
 void
-LrcRuntime::fetchDiffs(PageId page)
+LrcRuntime::fetchDiffs(PageId page, bool miss)
 {
     std::vector<NodeId> responders;
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
-    snapshotBatchTargets(page, responders, reqs, log_cov);
+    snapshotBatchTargets(page, miss, responders, reqs, log_cov);
 
     std::vector<FetchedDiff> fetched;
     std::vector<IntervalRec> precs;
@@ -1146,6 +1208,8 @@ LrcRuntime::fetchDiffs(PageId page)
     std::lock_guard<std::mutex> g(nl->core);
     for (FetchedDiff &f : fetched) {
         PageMeta &m = meta(f.page);
+        if (miss && f.page != page)
+            addRiderBytes(m, kDiffEntryHeaderBytes + f.diff.wireBytes());
         if (f.idx <= m.copyVt[f.proc]) {
             stats().diffsDiscarded++; // another responder sent it too
             continue;
@@ -1350,7 +1414,7 @@ LrcRuntime::fetchFromHome(PageId page)
 }
 
 void
-LrcRuntime::fetchTimestamps(PageId page)
+LrcRuntime::fetchTimestamps(PageId page, bool miss)
 {
     // One batched request per writer: snapshot the target page's
     // pending writers, piggyback (with batchDiffFetch) every other
@@ -1360,7 +1424,8 @@ LrcRuntime::fetchTimestamps(PageId page)
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
     VectorTime global_vt;
-    snapshotBatchTargets(page, responders, reqs, log_cov, &global_vt);
+    snapshotBatchTargets(page, miss, responders, reqs, log_cov,
+                         &global_vt);
 
     std::map<PageId, std::vector<TsReplySet>> replies;
     std::vector<IntervalRec> precs;
@@ -1406,9 +1471,19 @@ LrcRuntime::fetchTimestamps(PageId page)
     // copies are current.
     auto fresh_recs = ingestPiggybackedRecords(precs);
     for (const BatchPageReq &pr : reqs) {
-        applyTsReplies(pr.page, replies[pr.page]);
-        if (pr.page != page)
-            stats().tsPagesPiggybacked++;
+        const std::vector<TsReplySet> &got = replies[pr.page];
+        applyTsReplies(pr.page, got);
+        if (pr.page == page)
+            continue;
+        stats().tsPagesPiggybacked++;
+        if (miss) {
+            std::uint64_t bytes = 0;
+            for (const TsReplySet &reply : got) {
+                for (const std::vector<std::byte> &run : reply.data)
+                    bytes += kTsRunHeaderBytes + run.size();
+            }
+            addRiderBytes(meta(pr.page), bytes);
+        }
     }
     countAvoidedReinvalidations(fresh_recs, reqs);
 }

@@ -15,6 +15,10 @@
  *  - timestamping: per-word (processor, interval) timestamps; the
  *    responder scans the page and transmits runs newer than the
  *    requester's vector.
+ * The same round trips refresh other invalid pages those writers
+ * cover, each only until the bytes it has received that way since
+ * this node last missed on it or wrote it reach the cost of one miss
+ * (DESIGN.md §10).
  *
  * Write trapping is twinning (software-VM write faults) or compiler
  * instrumentation with hierarchical page + word dirty bits.
@@ -99,10 +103,26 @@ class LrcRuntime : public Runtime
         VectorTime copyVt;
         /** Pending write notices (proc, interval) newer than copyVt. */
         std::vector<std::pair<NodeId, std::uint32_t>> notices;
+        /** Ride-along hints (DESIGN.md §10, "Which pages ride along on
+         *  a miss"), both saturating and not checkpointed. riderBytes:
+         *  reply bytes this page received riding along on access
+         *  misses of other pages since this node last missed on it or
+         *  closed an interval that wrote it. boundShift: how often its
+         *  bound doubled, once per wrong skip. */
+        std::uint64_t riderBytes = 0;
+        std::uint8_t boundShift = 0;
     };
 
     PageMeta &meta(PageId page);
     BlockTimestamps &tsOf(PageId page);
+
+    /** Has @p m ridden along for at least the cost of one miss,
+     *  missCostBytes << boundShift? Such a page stays out of an access
+     *  miss's batch. */
+    bool overRiderBound(const PageMeta &m) const;
+
+    /** Add @p bytes a ride-along brought to @p m.riderBytes. */
+    static void addRiderBytes(PageMeta &m, std::uint64_t bytes);
 
     /** Erase @p page's notices covered by its copyVt and keep
      *  invalidPages exact. Caller holds the node mutex. */
@@ -198,17 +218,20 @@ class LrcRuntime : public Runtime
      * Fetch dispatch without the trap accounting, deduplicated across
      * sibling threads (SMP nodes): one in-flight fetch per page;
      * late-coming threads wait for it instead of issuing duplicate
-     * request rounds. Used by fetchPage and the pre-barrier GC
-     * validation sweep.
+     * request rounds. Used by fetchPage (@p miss) and the pre-barrier
+     * GC validation sweep, which must bring every invalid page
+     * current and so takes every ride-along.
      */
-    void fetchPageData(PageId page);
+    void fetchPageData(PageId page, bool miss);
 
     /** The homeless miss protocol, one per collection method: one
      *  batched request per responder (see snapshotBatchTargets),
-     *  covering the missed page plus (with batchDiffFetch) every other
-     *  invalid page those responders cover. */
-    void fetchDiffs(PageId page);
-    void fetchTimestamps(PageId page);
+     *  covering the missed page plus (with batchDiffFetch) the other
+     *  invalid pages those responders cover that ride along. After an
+     *  access miss (@p miss) each page that rode along adds the reply
+     *  bytes it received to its riderBytes. */
+    void fetchDiffs(PageId page, bool miss);
+    void fetchTimestamps(PageId page, bool miss);
 
     /** Home mode: make @p page current with one request/reply against
      *  its home (or, at the home itself, by waiting for the in-flight
@@ -348,17 +371,20 @@ class LrcRuntime : public Runtime
      * Snapshot @p page's responders into @p responders: in diff mode
      * at one app thread per node its undominated writers (DESIGN.md
      * §10), otherwise every pending writer. Into @p reqs go the page
-     * itself plus, with batchDiffFetch, every other invalid page whose
-     * undominated (otherwise: all) pending writers are responders —
-     * the piggyback set, which becomes fully consistent from the same
-     * round trips.
+     * itself plus, with batchDiffFetch, the candidates: every other
+     * invalid page whose undominated (otherwise: all) pending writers
+     * are responders, which become fully consistent from the same
+     * round trips. On an access miss (@p miss) a candidate over its
+     * rider bound stays out, unless @p page itself is over its bound:
+     * then the skip was wrong, the page's bound doubles and every
+     * candidate rides. The miss then zeroes @p page's riderBytes.
      * Also snapshots the interval-log coverage into @p log_cov and,
      * when non-null, the global vector into @p global_vt, all under
      * one acquisition of the node mutex; the snapshot stays valid
      * across the blocking fetch calls because only the app thread adds
      * or clears notices.
      */
-    void snapshotBatchTargets(PageId page,
+    void snapshotBatchTargets(PageId page, bool miss,
                               std::vector<NodeId> &responders,
                               std::vector<BatchPageReq> &reqs,
                               VectorTime &log_cov,
@@ -377,6 +403,12 @@ class LrcRuntime : public Runtime
      *  Caller holds the node mutex. */
     void applyTsReplies(PageId page,
                         const std::vector<TsReplySet> &replies);
+
+    /** The wire bytes that cost as much as one access miss: a page
+     *  fault plus a request/reply pair's fixed costs, over the per-byte
+     *  cost (13,125 B under the paper's constants). A page's rider
+     *  bound is this, doubled per wrong skip. */
+    const std::uint64_t missCostBytes;
 
     VectorTime vt;  ///< vt[self] = last closed
     IntervalLog ilog;

@@ -52,6 +52,8 @@ forEachField(Stats &s, Fn fn)
     fn("diffsDiscarded", s.diffsDiscarded);
     fn("tsRequestsSent", s.tsRequestsSent);
     fn("tsPagesPiggybacked", s.tsPagesPiggybacked);
+    fn("piggybacksSkipped", s.piggybacksSkipped);
+    fn("piggybackWrongSkips", s.piggybackWrongSkips);
     fn("noticesPiggybacked", s.noticesPiggybacked);
     fn("reinvalidationsAvoided", s.reinvalidationsAvoided);
     fn("homeFlushesSent", s.homeFlushesSent);

@@ -111,6 +111,15 @@ struct NodeStats
     std::uint64_t diffsDiscarded = 0;
     std::uint64_t tsRequestsSent = 0;
     std::uint64_t tsPagesPiggybacked = 0;
+    /** Homeless access misses: invalid pages that would have ridden
+     *  along but whose piggybacked bytes since their last miss or
+     *  write reached the cost of one miss (DESIGN.md §10), counted
+     *  once per fetch that left them out. */
+    std::uint64_t piggybacksSkipped = 0;
+    /** Homeless access misses on a page whose piggybacked bytes had
+     *  reached that bound: the rule skipped, or would skip, a page
+     *  this node reads. Each doubles the page's bound. */
+    std::uint64_t piggybackWrongSkips = 0;
     /** Write notices (record x page) appended to fetch replies. */
     std::uint64_t noticesPiggybacked = 0;
     /** Notices that arrived for a page whose copy already held that

@@ -38,9 +38,13 @@ isEc(Runtime &rt)
 // Kernel 1: halo-exchange stencil (the SOR pattern). Each node owns a
 // band of an int64 grid; per step it reads the neighbour edge cells
 // under their band locks, then rewrites its band under its own lock.
+// Enough steps that, at 2 nodes and 1 KiB pages, a homeless LRC halo
+// miss stops carrying the neighbour's other pages: each receives about
+// 1 KiB per step riding along, against a bound of one miss's cost
+// (13,125 B; DESIGN.md §10).
 
 constexpr int kCells = 768;
-constexpr int kSteps = 8;
+constexpr int kSteps = 32;
 
 inline std::size_t
 stencilBytes()
