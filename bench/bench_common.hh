@@ -59,16 +59,10 @@ benchCluster()
     if (const char *v = std::getenv("DSM_HOME_MIG"))
         cc.homeMigrateThreshold =
             static_cast<std::uint32_t>(std::atoi(v));
-    // Epoch window of the home-migration counters (accesses between
-    // halvings); 0 restores the legacy undecayed counts.
-    if (const char *v = std::getenv("DSM_HOME_DECAY"))
-        cc.homeDecayWindow = static_cast<std::uint32_t>(std::atoi(v));
     // Sharing-policy knobs (DSM_LOCK_FAIRNESS, DSM_HOME_LAST_WRITER,
     // DSM_HOME_PINGPONG, DSM_HOME_DEFER) stay unset here: Cluster
     // resolves them from the environment itself, so any table bench
-    // runs at any policy point without recompiling. The classifier's
-    // switch threshold has no env knob and can be pinned here if a
-    // sweep needs it.
+    // runs at any policy point without recompiling.
     return cc;
 }
 

@@ -382,6 +382,27 @@ CheckpointCoordinator::loadLatestImage(const std::string &dir,
     return out;
 }
 
+std::optional<std::span<const std::byte>>
+CheckpointCoordinator::PersistedImage::arenaBytes(std::size_t offset,
+                                                  std::size_t len) const
+{
+    if (epoch == 0)
+        return std::nullopt;
+    // snapshot()'s header, then Runtime::serialize: the arena
+    // watermark and that many arena bytes.
+    WireReader r(image);
+    DSM_ASSERT(r.getU64() == kMagic, "bad checkpoint magic");
+    DSM_ASSERT(r.getU32() == kVersion, "bad checkpoint version");
+    r.getI64(); // node
+    r.getU64(); // epoch
+    const std::uint64_t used = r.getU64();
+    DSM_ASSERT(r.remaining() >= used, "checkpoint arena truncated");
+    if (offset > used || len > used - offset)
+        return std::nullopt;
+    return std::span<const std::byte>(image).subspan(
+        image.size() - r.remaining() + offset, len);
+}
+
 std::vector<std::byte>
 CheckpointCoordinator::loadPersisted() const
 {

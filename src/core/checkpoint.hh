@@ -44,6 +44,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,12 @@ class CheckpointCoordinator
         std::uint64_t epoch = 0; ///< 0 = nothing persisted
         /** Vector-time frontier of the cut ("-" manifest = empty). */
         std::vector<std::uint32_t> frontier;
+
+        /** The @p len arena bytes at @p offset as the cut recorded
+         *  them; nothing when no cut was persisted or the arena the
+         *  cut recorded does not cover them. */
+        std::optional<std::span<const std::byte>>
+        arenaBytes(std::size_t offset, std::size_t len) const;
     };
 
     /**

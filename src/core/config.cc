@@ -182,15 +182,15 @@ const Knob kKnobs[] = {
      "home-based LRC-diff"},
     {"home_migrate_threshold", &C::homeMigrateThreshold, nullptr, {}, 0,
      kIntMax, "remote accesses before a home migrates (0 = never)"},
-    {"home_decay_window", &C::homeDecayWindow, nullptr, {}, 0, kIntMax,
-     "accesses between halvings of the migration counters"},
+    {"home_decay_window", &C::homeDecayWindow, nullptr, {}, 1024, 1024,
+     "the migration counters' decay window is fixed at 1024"},
     {"lock_local_handoff_bound", &C::lockLocalHandoffBound,
      "DSM_LOCK_FAIRNESS", "0", 0, 1 << 20,
      "consecutive local lock grants before a remote one (0 = unbounded)"},
     {"home_migrate_last_writer", &C::homeMigrateLastWriter,
      "DSM_HOME_LAST_WRITER", "0", 0, 1, "migrate homes to the last writer"},
     {"home_writer_switch_threshold", &C::homeWriterSwitchThreshold,
-     nullptr, {}, 0, kIntMax, "writer switches that make a page migratory"},
+     nullptr, {}, 3, 3, "the writer-switch threshold is fixed at 3"},
     {"home_pingpong_limit", &C::homePingPongLimit, "DSM_HOME_PINGPONG",
      pingPongDefault, 0, kIntMax,
      "migrations before a home is pinned (0 = no cap)"},

@@ -182,13 +182,8 @@ struct ClusterConfig
      */
     std::uint32_t homeMigrateThreshold = 64;
 
-    /**
-     * Epoch window (in accesses to one homed page) of the migration
-     * counters: every homeDecayWindow accesses the per-node counts are
-     * halved, so migration reacts to the recent access mix instead of
-     * firing on stale history accumulated long ago. 0 restores the
-     * legacy undecayed counter.
-     */
+    /** Retired: only 1024 is accepted. The migration counters halve
+     *  every PageHomeTable::kDecayWindow accesses to a homed page. */
     std::uint32_t homeDecayWindow = 1024;
 
     // --- Sharing-policy layer: adaptive policies for migratory
@@ -216,17 +211,14 @@ struct ClusterConfig
      * keep switching writers (a migratory object — task queue slots,
      * lock-protected counters) follows the writer chain instead of
      * waiting for one node to dominate the access counts. Classified
-     * by writer switches within the homeDecayWindow epoch (see
+     * by writer switches within the decay window (see
      * homeWriterSwitchThreshold). Counted by lastWriterMigrations.
      */
     int homeMigrateLastWriter = -1;
 
-    /**
-     * Writer switches of one homed page within the decay window that
-     * classify it as migratory under the last-writer policy (a switch
-     * is a flush — or a local interval close at the home — by a
-     * different writer than the previous one).
-     */
+    /** Retired: only 3 is accepted. PageHomeTable::kSwitchThreshold
+     *  writer switches within the decay window make a page
+     *  migratory. */
     std::uint32_t homeWriterSwitchThreshold = 3;
 
     /**

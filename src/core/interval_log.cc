@@ -91,11 +91,16 @@ IntervalLog::pruneThrough(const VectorTime &through)
 }
 
 std::size_t
-IntervalLog::totalRecords() const
+IntervalLog::totalRecords(const VectorTime *within) const
 {
     std::size_t total = 0;
-    for (const ProcLog &pl : procs)
-        total += pl.recs.size();
+    for (int p = 0; p < nprocs(); ++p) {
+        const std::uint32_t upto = within ? std::min(lastIdxOf(p),
+                                                     (*within)[p])
+                                          : lastIdxOf(p);
+        if (upto > procs[p].base)
+            total += upto - procs[p].base;
+    }
     return total;
 }
 

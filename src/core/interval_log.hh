@@ -85,8 +85,9 @@ class IntervalLog
      */
     std::uint64_t pruneThrough(const VectorTime &through);
 
-    /** Records currently held across all processors. */
-    std::size_t totalRecords() const;
+    /** Records currently held across all processors (and, if given,
+     *  with idx <= within[proc]). */
+    std::size_t totalRecords(const VectorTime *within = nullptr) const;
 
     /** Checkpoint support: capture / rebuild the full log, including
      *  the per-processor GC bases (a restored node must refuse the

@@ -44,9 +44,7 @@ LrcRuntime::LrcRuntime(const Deps &deps)
       dirty(deps.arena->size(), deps.arena->pageSize()),
       homes(deps.nprocs, deps.self,
             deps.cluster->homeMigrateThreshold,
-            deps.cluster->homeDecayWindow,
             deps.cluster->homeMigrateLastWriter > 0,
-            deps.cluster->homeWriterSwitchThreshold,
             static_cast<std::uint32_t>(
                 std::max(0, deps.cluster->homePingPongLimit)))
 {
@@ -777,8 +775,12 @@ LrcRuntime::preBarrier()
     // Barrier-time GC, validation half (TreadMarks-style): once the
     // interval log is big enough, bring every invalid page current so
     // that all records within our vector are fully applied locally.
-    // Log sizes converge at barriers, so all nodes cross the threshold
-    // within one barrier of each other and the handshake completes.
+    // Only records within our vector count: the manager's log already
+    // holds the records other nodes sent with their arrivals at this
+    // barrier, and counting them would make the trigger depend on
+    // arrival order. Vectors converge at barriers, so all nodes cross
+    // the threshold within one barrier of each other and the
+    // handshake completes.
     if (!cluster->gcAtBarriers)
         return;
     std::vector<PageId> invalid;
@@ -787,7 +789,7 @@ LrcRuntime::preBarrier()
         std::size_t records;
         {
             std::lock_guard<std::mutex> ig(nl->ilog);
-            records = ilog.totalRecords();
+            records = ilog.totalRecords(&vt);
         }
         if (records < cluster->gcIntervalThreshold)
             return;
@@ -1352,17 +1354,10 @@ LrcRuntime::fetchFromHome(PageId page)
                         img.frontier.size())
                         cut[p] = img.frontier[p];
                 }
-                // Arena image lives at a fixed offset: 28-byte blob
-                // header (magic, version, id, epoch), then the
-                // serialized used-bytes count, then the raw bytes.
-                constexpr std::size_t kArenaOff = 28 + 8;
-                const std::size_t base = arena->pageBase(page);
-                if (cut.dominates(need) &&
-                    img.image.size() >= kArenaOff + base +
-                                            arena->pageSize()) {
-                    WireReader pr(std::span<const std::byte>(
-                        img.image.data() + kArenaOff + base,
-                        arena->pageSize()));
+                const auto bytes = img.arenaBytes(arena->pageBase(page),
+                                                  arena->pageSize());
+                if (cut.dominates(need) && bytes) {
+                    WireReader pr(*bytes);
                     installFullPage(page, pr);
                     clock().add(costModel().perWordApplyNs *
                                 (arena->pageSize() / 4));

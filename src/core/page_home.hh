@@ -41,19 +41,24 @@ class PageHomeTable
     PageHomeTable() = default;
 
     /**
-     * @param decay_window Epoch window (in accesses to one homed
-     *        page) of the migration counters: every decay_window
-     *        accesses the per-node counts are halved, so the
-     *        migrate-on-threshold policy sees the *recent* access mix
-     *        instead of history accumulated long ago. 0 keeps the
-     *        legacy undecayed counts.
+     * Epoch window (in accesses to one homed page) of the migration
+     * counters: every kDecayWindow accesses the per-node counts and
+     * the writer switches are halved, so migration reacts to the
+     * recent access mix instead of firing on history accumulated long
+     * ago.
+     */
+    static constexpr std::uint32_t kDecayWindow = 1024;
+
+    /** Writer switches within the decay window that classify a page
+     *  as migratory under the last-writer policy. */
+    static constexpr std::uint32_t kSwitchThreshold = 3;
+
+    /**
      * @param last_writer_policy Migrate-to-last-writer: a page whose
-     *        flushes keep switching writers (>= switch_threshold
+     *        flushes keep switching writers (>= kSwitchThreshold
      *        switches within the decay window) is migratory, and the
      *        home follows the most recent writer instead of waiting
      *        for one node to dominate the access counts.
-     * @param switch_threshold Writer switches that classify a page as
-     *        migratory under the last-writer policy.
      * @param ping_pong_limit Adaptive fallback: once a page's
      *        migration epoch reaches this limit, further migrations
      *        are suppressed and the page is pinned at its current
@@ -61,15 +66,11 @@ class PageHomeTable
      */
     PageHomeTable(int nprocs, NodeId self,
                   std::uint32_t migrate_threshold,
-                  std::uint32_t decay_window = 0,
                   bool last_writer_policy = false,
-                  std::uint32_t switch_threshold = 3,
                   std::uint32_t ping_pong_limit = 0)
         : nprocs_(nprocs), self_(self),
           migrateThreshold(migrate_threshold),
-          decayWindow(decay_window),
           lastWriterPolicy(last_writer_policy),
-          switchThreshold(switch_threshold),
           pingPongLimit(ping_pong_limit)
     {}
 
@@ -168,7 +169,7 @@ class PageHomeTable
      * @p node crossed the migration threshold and the home should move
      * there (never fires for local accesses or threshold 0).
      *
-     * Epoch-windowed decay: every decayWindow accesses (local ones
+     * Epoch-windowed decay: every kDecayWindow accesses (local ones
      * included — they are evidence the current placement serves
      * someone) all per-node counts are halved, so a node must sustain
      * its dominance in the recent window to trigger a migration; a
@@ -178,7 +179,7 @@ class PageHomeTable
     bool
     countAccess(HomeState &hs, NodeId node)
     {
-        if (decayWindow > 0 && ++hs.windowAccesses >= decayWindow) {
+        if (++hs.windowAccesses >= kDecayWindow) {
             hs.windowAccesses = 0;
             for (std::uint32_t &count : hs.accessCounts)
                 count /= 2;
@@ -211,7 +212,7 @@ class PageHomeTable
             ++hs.writerSwitches;
         }
         hs.lastWriter = static_cast<int>(writer);
-        return writer != self_ && hs.writerSwitches >= switchThreshold;
+        return writer != self_ && hs.writerSwitches >= kSwitchThreshold;
     }
 
     /**
@@ -225,8 +226,6 @@ class PageHomeTable
     {
         return pingPongLimit == 0 || epochOf(page) < pingPongLimit;
     }
-
-    std::size_t numHomedStates() const { return states.size(); }
 
     /** Checkpoint support: capture / rebuild the migration overrides
      *  and the home-side per-page states (policy knobs are not
@@ -252,9 +251,7 @@ class PageHomeTable
     int nprocs_ = 1;
     NodeId self_ = 0;
     std::uint32_t migrateThreshold = 0;
-    std::uint32_t decayWindow = 0;
     bool lastWriterPolicy = false;
-    std::uint32_t switchThreshold = 3;
     std::uint32_t pingPongLimit = 0;
     std::unordered_map<PageId, Mapping> overrides;
     std::unordered_map<PageId, HomeState> states;

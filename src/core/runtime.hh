@@ -221,7 +221,6 @@ class Runtime
     NodeStats &stats() { return ep->stats(); }
     VirtualClock &clock() { return ep->clock(); }
     const CostModel &costModel() const { return ep->costModel(); }
-    SharedArena &sharedArena() { return *arena; }
     const ClusterConfig &clusterConfig() const { return *cluster; }
 
     /** Paper-style configuration name (EC-ci, LRC-diff, ...). */

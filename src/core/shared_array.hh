@@ -54,15 +54,6 @@ class SharedArray
         rt->writeBuf(addr(i), src, n);
     }
 
-    std::vector<T>
-    loadAll() const
-    {
-        std::vector<T> out(count);
-        if (count)
-            load(0, out.data(), count);
-        return out;
-    }
-
     GlobalAddr
     addr(std::size_t i) const
     {

@@ -79,13 +79,6 @@ class TwinStore
     void serialize(WireWriter &w) const;
     void restoreFrom(WireReader &r);
 
-    std::size_t
-    numPageTwins() const
-    {
-        std::lock_guard<std::mutex> g(structMu);
-        return pageTwins.size();
-    }
-
   private:
     /** Leaf lock: guards the maps, never held while calling out. */
     mutable std::mutex structMu;

@@ -230,9 +230,6 @@ class Endpoint : public ReplyReceiver
         return ctx && ctx->clock ? *ctx->clock : vclock;
     }
 
-    /** The node clock, regardless of calling context. */
-    VirtualClock &nodeClock() { return vclock; }
-
     /** Counters of the calling execution context: a worker thread's
      *  private delta when one is published, the node stats otherwise.
      *  Cluster::run merges the deltas after the workers join. */

@@ -49,7 +49,6 @@ FailureDetector::declareDown(NodeId node)
         if (downMask.compare_exchange_weak(mask, mask | bit,
                                            std::memory_order_acq_rel)) {
             net.markNodeDown(node);
-            detectionCount.fetch_add(1, std::memory_order_relaxed);
             return true;
         }
     }

@@ -103,13 +103,6 @@ class FailureDetector
         return peers[node].recoverySeq.load(std::memory_order_acquire);
     }
 
-    /** Total down transitions (diagnostic). */
-    std::uint64_t
-    detections() const
-    {
-        return detectionCount.load(std::memory_order_relaxed);
-    }
-
   private:
     std::uint64_t nowNs() const;
 
@@ -129,7 +122,6 @@ class FailureDetector
     std::chrono::steady_clock::time_point epoch;
     std::vector<PeerSlot> peers;
     std::atomic<std::uint64_t> downMask{0};
-    std::atomic<std::uint64_t> detectionCount{0};
 };
 
 } // namespace dsm

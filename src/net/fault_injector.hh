@@ -80,9 +80,6 @@ class FaultInjector
         return silencedMask.load(std::memory_order_acquire) != 0;
     }
 
-    /** Drop rate in effect (0 = drops disabled). */
-    double dropRate() const { return rate; }
-
     /** Messages discarded so far (diagnostic). */
     std::uint64_t dropped() const
     {

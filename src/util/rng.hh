@@ -68,9 +68,6 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli trial with probability @p p. */
-    bool chance(double p) { return uniform() < p; }
-
   private:
     std::uint64_t state0;
     std::uint64_t state1;

@@ -41,12 +41,6 @@ struct Range
 
     GlobalAddr end() const { return addr + size; }
 
-    bool
-    overlaps(const Range &other) const
-    {
-        return addr < other.end() && other.addr < end();
-    }
-
     bool operator==(const Range &other) const = default;
 };
 

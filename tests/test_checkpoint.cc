@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -458,6 +459,54 @@ TEST(SilentPeerFailoverEdge, ReadsRehostFromPersistedImage)
         << "reads of victim-homed pages waited out the outage instead "
            "of re-hosting from the checkpoint frontier";
     EXPECT_EQ(dark.result.total.recoveryReplays, 1u);
+    fs::remove_all(dir);
+}
+
+// The re-host path reads a dead home's page through
+// PersistedImage::arenaBytes: the bytes the cut recorded, or nothing
+// when the arena the cut recorded does not cover them.
+TEST(SilentPeerFailoverEdge, PersistedImageServesOnlyTheRecordedArena)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "dsm-ckpt-arenabytes";
+    fs::remove_all(dir);
+
+    constexpr int kWords = 256; // two 1024 B pages, the last allocation
+    constexpr std::size_t kBytes = kWords * sizeof(std::uint64_t);
+    std::atomic<GlobalAddr> base{0};
+    const auto kernel = [&](Runtime &rt) {
+        auto a = SharedArray<std::uint64_t>::alloc(rt, kWords, 4, "ab");
+        if (rt.self() == 1) {
+            base = a.base();
+            for (int i = 0; i < kWords; ++i)
+                a.set(i, static_cast<std::uint64_t>(i) + 1);
+        }
+        rt.barrier(1); // cut 1: node 1's image holds its writes
+    };
+    FaultPlan snap;
+    snap.dir = dir.string();
+    runCase(kLegs[1], {"arenabytes", kernel, kBytes, 2, 1}, snap);
+
+    const CheckpointCoordinator::PersistedImage img =
+        CheckpointCoordinator::loadLatestImage(dir.string(), 1);
+    ASSERT_GT(img.epoch, 0u);
+    const auto bytes = img.arenaBytes(base, kBytes);
+    ASSERT_TRUE(bytes.has_value());
+    ASSERT_EQ(bytes->size(), kBytes);
+    for (int i = 0; i < kWords; ++i) {
+        std::uint64_t word;
+        std::memcpy(&word, bytes->data() + i * sizeof(word), sizeof(word));
+        EXPECT_EQ(word, static_cast<std::uint64_t>(i) + 1) << "word " << i;
+    }
+    // The recorded arena ends with the array: a page that straddles
+    // its end, or lies past it, is not in the image.
+    EXPECT_TRUE(img.arenaBytes(base + kBytes - 512, 512).has_value());
+    EXPECT_FALSE(img.arenaBytes(base + kBytes - 512, 1024).has_value());
+    EXPECT_FALSE(img.arenaBytes(base + kBytes, 1024).has_value());
+    // No cut persisted: nothing.
+    EXPECT_FALSE(
+        CheckpointCoordinator::PersistedImage{}.arenaBytes(0, 8).has_value());
     fs::remove_all(dir);
 }
 

@@ -9,8 +9,11 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
@@ -489,53 +492,17 @@ TEST(LrcWordExactDiff, GrantSideDiffLeavesConcurrentWordIntact)
 // thread waits until node 0 has sent its barrier-2 arrival (so record
 // (0,1) is in the manager's log) before building the other two.
 
-/** The ring transport, plus the forced interleaving described above. */
-class DepartureGate final : public Transport
+/** The ring transport, forwarded whole: a gate overrides the calls
+ *  it orders. */
+class RingForwarder : public Transport
 {
   public:
-    DepartureGate(int nnodes, const CostModel &cm) : inner(nnodes, cm) {}
+    RingForwarder(int nnodes, const CostModel &cm) : inner(nnodes, cm) {}
 
-    void
-    send(Message &&msg, NodeStats &stats) override
+    void send(Message &&msg, NodeStats &stats) override
     {
-        const bool manager_arrival =
-            msg.type == MsgType::BarrierArrive && msg.src == 0;
-        // Barrier 1 is node 0's second arrival. Decide before sending:
-        // the bypassed departure can let node 0 send its third arrival
-        // before this thread takes the lock below.
-        bool gate_depart = false;
-        if (msg.type == MsgType::BarrierDepart && msg.dst == 0) {
-            std::lock_guard<std::mutex> g(mu);
-            gate_depart = managerArrivals == 2;
-        }
         inner.send(std::move(msg), stats);
-        std::unique_lock<std::mutex> g(mu);
-        if (manager_arrival) {
-            ++managerArrivals;
-            cv.notify_all();
-        }
-        if (gate_depart) {
-            gateHeld = cv.wait_for(g, std::chrono::seconds(10),
-                                   [&] { return managerArrivals == 3; });
-        }
     }
-
-    /** Block until node 0 has sent @p n barrier arrivals. */
-    void
-    awaitManagerArrivals(int n)
-    {
-        std::unique_lock<std::mutex> g(mu);
-        cv.wait(g, [&] { return managerArrivals >= n; });
-    }
-
-    /** Did node 0's next arrival (not the timeout) open the gate? */
-    bool
-    interleaved()
-    {
-        std::lock_guard<std::mutex> g(mu);
-        return gateHeld;
-    }
-
     bool recv(NodeId node, Message &out) override
     {
         return inner.recv(node, out);
@@ -578,8 +545,58 @@ class DepartureGate final : public Transport
         return inner.totalMessages();
     }
 
-  private:
+  protected:
     Network inner;
+};
+
+/** The ring transport, plus the forced interleaving described above. */
+class DepartureGate final : public RingForwarder
+{
+  public:
+    using RingForwarder::RingForwarder;
+
+    void
+    send(Message &&msg, NodeStats &stats) override
+    {
+        const bool manager_arrival =
+            msg.type == MsgType::BarrierArrive && msg.src == 0;
+        // Barrier 1 is node 0's second arrival. Decide before sending:
+        // the bypassed departure can let node 0 send its third arrival
+        // before this thread takes the lock below.
+        bool gate_depart = false;
+        if (msg.type == MsgType::BarrierDepart && msg.dst == 0) {
+            std::lock_guard<std::mutex> g(mu);
+            gate_depart = managerArrivals == 2;
+        }
+        inner.send(std::move(msg), stats);
+        std::unique_lock<std::mutex> g(mu);
+        if (manager_arrival) {
+            ++managerArrivals;
+            cv.notify_all();
+        }
+        if (gate_depart) {
+            gateHeld = cv.wait_for(g, std::chrono::seconds(10),
+                                   [&] { return managerArrivals == 3; });
+        }
+    }
+
+    /** Block until node 0 has sent @p n barrier arrivals. */
+    void
+    awaitManagerArrivals(int n)
+    {
+        std::unique_lock<std::mutex> g(mu);
+        cv.wait(g, [&] { return managerArrivals >= n; });
+    }
+
+    /** Did node 0's next arrival (not the timeout) open the gate? */
+    bool
+    interleaved()
+    {
+        std::lock_guard<std::mutex> g(mu);
+        return gateHeld;
+    }
+
+  private:
     std::mutex mu;
     std::condition_variable cv;
     int managerArrivals = 0;
@@ -669,6 +686,164 @@ TEST(LrcBarrierDepart, RecordsStayWithinTheDepartureVector)
     // 2 carry it once each. A barrier-1 departure that leaked it would
     // make barrier 2 send it again.
     EXPECT_EQ(nodes[0]->stats.writeNoticesSent, 2u);
+}
+
+// ---------------------------------------------------------------------
+// The barrier-GC trigger counts only records within the node's vector.
+//
+// The barrier manager (node 0) merges each arrival's interval records
+// into its log when the arrival lands, which can be before node 0 runs
+// its own pre-barrier GC check. Counting those records would let node
+// 0 validate one barrier early, alone, and only when node 1 happened
+// to arrive first. The gate below forces that order at every barrier:
+// node 0 enters a barrier only once node 1's arrival at it has been
+// dispatched on node 0. Node 0 gets no reply bypass, so every message
+// node 1 sends it passes its inbox in order.
+
+/** The ring transport, plus node 1's arrivals counted as node 0
+ *  dispatches them. */
+class ArrivalFirstGate final : public RingForwarder
+{
+  public:
+    using RingForwarder::RingForwarder;
+
+    void
+    send(Message &&msg, NodeStats &stats) override
+    {
+        if (msg.src != 1 || msg.dst != 0) {
+            inner.send(std::move(msg), stats);
+            return;
+        }
+        // Held across the push, so the queue below keeps inbox order.
+        std::lock_guard<std::mutex> g(mu);
+        queued.push_back(msg.type == MsgType::BarrierArrive);
+        inner.send(std::move(msg), stats);
+    }
+
+    void
+    setReplyReceiver(NodeId node, ReplyReceiver *receiver) override
+    {
+        inner.setReplyReceiver(node, node == 0 ? nullptr : receiver);
+    }
+
+    void
+    noteDispatched(NodeId dst, NodeId src) override
+    {
+        inner.noteDispatched(dst, src);
+        if (dst != 0 || src != 1)
+            return;
+        std::lock_guard<std::mutex> g(mu);
+        if (queued.front())
+            ++arrivalsDispatched;
+        queued.pop_front();
+        cv.notify_all();
+    }
+
+    /** Block until node 0 has dispatched @p n arrivals of node 1. */
+    void
+    awaitArrivals(int n)
+    {
+        std::unique_lock<std::mutex> g(mu);
+        cv.wait(g, [&] { return arrivalsDispatched >= n; });
+    }
+
+  private:
+    std::mutex mu;
+    std::condition_variable cv;
+    /** Node 1's undispatched messages to node 0: is each an arrival? */
+    std::deque<bool> queued;
+    int arrivalsDispatched = 0;
+};
+
+TEST(LrcBarrierGc, TriggerIgnoresRecordsThatArriveAtTheBarrier)
+{
+    // Node 1 rewrites pages A, B and C in each of 12 rounds (one
+    // interval each), node 0 reads A in every round, and GC triggers
+    // at 6 records. A fully rewritten 4 KiB page brings a ride-along
+    // over 4 KiB, so B and C ride along on A's misses in rounds 1-4
+    // and are skipped from round 5 on (DESIGN.md §10). Both nodes
+    // validate at the end of rounds 6 and 12 (barriers 12 and 24); a
+    // validation fetches B, and C rides along.
+    constexpr int kNodes = 2;
+    constexpr int kRounds = 12;
+    constexpr int kPageInts = 1024;
+    const auto value = [](int round, int page, int i) {
+        return round * 100000 + page * 10000 + i;
+    };
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        ClusterConfig cc = lrcConfig(name, kNodes, 4096);
+        cc.gcIntervalThreshold = 6;
+        ArrivalFirstGate net(kNodes, cc.cost);
+        std::vector<std::unique_ptr<GateNode>> nodes;
+        for (int i = 0; i < kNodes; ++i)
+            nodes.push_back(std::make_unique<GateNode>(cc, net, i));
+        for (auto &n : nodes)
+            n->ep.start();
+
+        std::vector<ThreadContext> ctx(kNodes);
+        std::vector<std::thread> workers;
+        for (int i = 0; i < kNodes; ++i) {
+            workers.emplace_back([&, i] {
+                ctx[i].node = i;
+                ctx[i].worker = i;
+                ctx[i].numWorkers = kNodes;
+                ctx[i].clock = &nodes[i]->clock;
+                ThreadContext::Scope scope(&ctx[i]);
+                Runtime &rt = *nodes[i]->rt;
+                auto a = SharedArray<int>::alloc(rt, 3 * kPageInts);
+                const auto barrier = [&](BarrierId b) {
+                    if (i == 0)
+                        net.awaitArrivals(static_cast<int>(b) + 1);
+                    rt.barrier(b);
+                };
+                const auto expect_page = [&](int page, int round) {
+                    std::vector<int> got(kPageInts);
+                    a.load(static_cast<std::size_t>(page) * kPageInts,
+                           got.data(), kPageInts);
+                    int wrong = 0;
+                    for (int w = 0; w < kPageInts; ++w)
+                        wrong += got[w] != value(round, page, w);
+                    EXPECT_EQ(wrong, 0)
+                        << "page " << page << ", round " << round;
+                };
+                barrier(0);
+                std::vector<int> words(3 * kPageInts);
+                for (int round = 1; round <= kRounds; ++round) {
+                    if (i == 1) {
+                        for (int w = 0; w < 3 * kPageInts; ++w)
+                            words[w] = value(round, w / kPageInts,
+                                             w % kPageInts);
+                        a.store(0, words.data(), words.size());
+                    }
+                    barrier(2 * round - 1);
+                    if (i == 0)
+                        expect_page(0, round);
+                    barrier(2 * round);
+                }
+                if (i == 0) {
+                    for (int page = 0; page < 3; ++page)
+                        expect_page(page, kRounds);
+                }
+            });
+        }
+        for (auto &t : workers)
+            t.join();
+        for (auto &n : nodes)
+            n->ep.stop();
+        net.shutdown();
+
+        const NodeStats &s = ctx[0].stats;
+        const bool diffing = name == "LRC-diff";
+        EXPECT_EQ(s.accessMisses, 12u);
+        // A miss per round, and one fetch per validation.
+        EXPECT_EQ(diffing ? s.diffRequestsSent : s.tsRequestsSent, 14u);
+        EXPECT_EQ(s.piggybacksSkipped, 16u);
+        EXPECT_EQ(diffing ? s.diffPagesPiggybacked : s.tsPagesPiggybacked,
+                  10u);
+        EXPECT_EQ(s.gcRounds, 2u);
+        EXPECT_EQ(ctx[1].stats.gcRounds, 2u);
+    }
 }
 
 } // namespace

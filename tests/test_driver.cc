@@ -98,6 +98,22 @@ TEST(Config, RetiredOptimisticReadsAreRejected)
     EXPECT_DEATH({ Cluster cluster(budget); }, "home reads are retired");
 }
 
+/** The migration counters' decay window and the last-writer
+ *  classifier's switch threshold are fixed: only 1024 and 3 are
+ *  accepted. */
+TEST(Config, RetiredHomeClassifierKnobsAreRejected)
+{
+    ClusterConfig decay;
+    decay.nprocs = 2;
+    decay.homeDecayWindow = 0;
+    EXPECT_DEATH({ Cluster cluster(decay); }, "decay window is fixed");
+    ClusterConfig switches;
+    switches.nprocs = 2;
+    switches.homeWriterSwitchThreshold = 2;
+    EXPECT_DEATH({ Cluster cluster(switches); },
+                 "switch threshold is fixed");
+}
+
 // ---------------------------------------------------------------------
 // The knob table (core/config.cc): ClusterConfig::resolved().
 

@@ -310,7 +310,6 @@ TEST(HomeLrc, LastWriterPolicyFollowsMigratoryWriter)
     constexpr int kEpochs = 12;
     ClusterConfig cc = homeConfig(3, 0); // access-count policy off
     cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
     cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
     cc.transport = "ring";    // white-box lrcOf() inspection below
     Cluster cluster(cc);
@@ -350,7 +349,6 @@ TEST(HomeLrc, PingPongCapPinsHome)
     constexpr int kEpochs = 14;
     ClusterConfig cc = homeConfig(3, 0);
     cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
     cc.homePingPongLimit = 2;
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {
@@ -446,7 +444,6 @@ TEST(HomeLrc, MigrationChurnKeepsReadsExact)
     constexpr int kRounds = 24;
     ClusterConfig cc = homeConfig(3, 0);
     cc.homeMigrateLastWriter = 1;
-    cc.homeWriterSwitchThreshold = 2;
     cc.homePingPongLimit = 0; // unbounded: keep the home moving
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {

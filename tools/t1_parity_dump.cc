@@ -2,9 +2,8 @@
  * @file
  * Dumps the T=1 protocol fingerprint behind
  * tests/data/t1_parity_golden.txt: the barrier-separated apps (SOR,
- * SOR+) under every runtime configuration at test scale, with the SMP
- * satellite knobs pinned to their legacy values, printing exec time
- * and every protocol counter.
+ * SOR+) under every runtime configuration at test scale, at one
+ * thread per node, printing exec time and every protocol counter.
  *
  * Not built by CMake — compile by hand when the golden needs
  * regenerating (a deliberate protocol change at T=1):
@@ -46,10 +45,8 @@ main()
                 ClusterConfig run_cc = cc;
                 run_cc.homeBasedLrc = home != 0;
                 // Pin the scenario point the golden was frozen at:
-                // one thread per node, legacy (undecayed)
-                // home-migration counters.
+                // one thread per node.
                 run_cc.threadsPerNode = 1;
-                run_cc.homeDecayWindow = 0;
                 ExperimentResult r =
                     runExperiment(app, config, params, run_cc);
                 std::printf("%s %s home=%d exec=%llu msgs=%llu\n",
