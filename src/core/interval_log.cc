@@ -118,6 +118,7 @@ IntervalLog::serialize(WireWriter &w) const
             w.putU32(static_cast<std::uint32_t>(rec.pages.size()));
             for (PageId page : rec.pages)
                 w.putU32(page);
+            w.putU8(rec.partialStore ? 1 : 0);
         }
     }
 }
@@ -140,6 +141,7 @@ IntervalLog::restoreFrom(WireReader &r)
             rec.pages.reserve(npages);
             for (std::uint32_t pg = 0; pg < npages; ++pg)
                 rec.pages.push_back(r.getU32());
+            rec.partialStore = r.getU8() != 0;
             pl.recs.push_back(std::move(rec));
         }
     }

@@ -30,6 +30,11 @@ struct IntervalRec
     std::uint32_t idx = 0;
     VectorTime vt;
     std::vector<PageId> pages;
+    /** The writer's diff store lacks intervals its vector knows for
+     *  one of these pages: it installed the page whole from a keeper
+     *  since the last GC round that covers that copy (DESIGN.md §10).
+     *  Such a record dominates nothing when a miss is routed. */
+    bool partialStore = false;
 };
 
 class IntervalLog

@@ -30,6 +30,41 @@ missCostBytesOf(const CostModel &cm)
 constexpr std::uint64_t kDiffEntryHeaderBytes = 2 + 4 + 8;
 constexpr std::uint64_t kTsRunHeaderBytes = 4 + 4 + 8;
 
+/** The writer-field bit of an encoded interval record that carries
+ *  IntervalRec::partialStore. */
+constexpr std::uint16_t kPartialStoreBit = 0x8000;
+
+/** A keeper's word stamps under timestamping, run-length encoded: the
+ *  installed copy's stamps must match its bytes, or this node could
+ *  not later answer timestamp requests for the page. */
+void
+putStampRuns(WireWriter &w, const BlockTimestamps &ts)
+{
+    const auto runs = ts.collect([](std::uint64_t t) { return t != 0; });
+    w.putU32(static_cast<std::uint32_t>(runs.size()));
+    for (const TsRun &run : runs) {
+        w.putU32(run.firstBlock);
+        w.putU32(run.numBlocks);
+        w.putU64(run.ts);
+    }
+}
+
+/** Read putStampRuns' runs into @p ts, or past them when null. */
+void
+readStampRuns(WireReader &r, BlockTimestamps *ts)
+{
+    if (ts)
+        ts->setAll(0);
+    const std::uint32_t nruns = r.getU32();
+    for (std::uint32_t i = 0; i < nruns; ++i) {
+        const std::uint32_t first = r.getU32();
+        const std::uint32_t n = r.getU32();
+        const std::uint64_t stamp = r.getU64();
+        if (ts)
+            ts->setRange(first, n, stamp);
+    }
+}
+
 } // namespace
 
 LrcRuntime::LrcRuntime(const Deps &deps)
@@ -46,7 +81,8 @@ LrcRuntime::LrcRuntime(const Deps &deps)
             deps.cluster->homeMigrateThreshold,
             deps.cluster->homeMigrateLastWriter > 0,
             static_cast<std::uint32_t>(
-                std::max(0, deps.cluster->homePingPongLimit)))
+                std::max(0, deps.cluster->homePingPongLimit))),
+      departVt(deps.nprocs)
 {
     DSM_ASSERT(cluster->runtime.model == Model::LRC, "config mismatch");
     // PendingWriters' masks are one bit per node; Cluster enforces the
@@ -131,6 +167,20 @@ LrcRuntime::addRiderBytes(PageMeta &m, std::uint64_t bytes)
                    bytes;
 }
 
+bool
+LrcRuntime::noteMiss(PageMeta &m)
+{
+    const bool wrong_skip = overRiderBound(m);
+    if (wrong_skip) {
+        stats().piggybackWrongSkips++;
+        if (m.boundShift < 63)
+            m.boundShift++;
+    }
+    m.riderBytes = 0;
+    m.missRound = gcEpoch;
+    return wrong_skip;
+}
+
 void
 LrcRuntime::resolveCoveredNotices(PageId page, PageMeta &m)
 {
@@ -164,6 +214,13 @@ LrcRuntime::revalidateAfterFetch(PageId page, PageMeta &m)
         }
         return false;
     }
+    restoreAccess(page);
+    return true;
+}
+
+void
+LrcRuntime::restoreAccess(PageId page)
+{
     // Only None -> valid: a sibling may have validated (and even
     // re-twinned) the page while our replies were in flight. A page
     // with an open twin (a sibling is mid-interval on it) must come
@@ -174,7 +231,17 @@ LrcRuntime::revalidateAfterFetch(PageId page, PageMeta &m)
         pages.setAccess(page, twins.hasPage(page) ? PageAccess::ReadWrite
                                                   : PageAccess::Read);
     }
-    return true;
+}
+
+bool
+LrcRuntime::keptAtGc(PageId page, const PageMeta &m)
+{
+    if (m.copyVt[id] > 0 || m.missRound == gcEpoch ||
+        !departVt.dominates(m.copyVt)) {
+        return true;
+    }
+    std::lock_guard<std::mutex> sg(nl->shardFor(page));
+    return usesTwinning() ? twins.hasPage(page) : dirty.pageDirty(page);
 }
 
 BlockTimestamps &
@@ -221,6 +288,11 @@ LrcRuntime::closeInterval()
     rec.idx = idx;
     rec.vt = vt;
     rec.pages = modified;
+    // A page this node installed whole has intervals its store lacks:
+    // no miss may route a dominated writer's diffs to us.
+    rec.partialStore =
+        std::any_of(modified.begin(), modified.end(),
+                    [&](PageId p) { return wholeCopies.count(p) != 0; });
 
     const std::uint64_t page_words = arena->pageSize() / 4;
     const std::uint64_t vt_sum = rec.vt.sum();
@@ -527,7 +599,10 @@ LrcRuntime::applyPiggybackedRecords(
 void
 LrcRuntime::encodeRecord(WireWriter &w, const IntervalRec &rec)
 {
-    w.putU16(static_cast<std::uint16_t>(rec.proc));
+    // Nodes number at most 64, so the top bit of the writer field is
+    // free to carry partialStore.
+    w.putU16(static_cast<std::uint16_t>(rec.proc) |
+             (rec.partialStore ? kPartialStoreBit : 0));
     w.putU32(rec.idx);
     rec.vt.encode(w);
     w.putU32(static_cast<std::uint32_t>(rec.pages.size()));
@@ -539,7 +614,9 @@ IntervalRec
 LrcRuntime::decodeRecord(WireReader &r)
 {
     IntervalRec rec;
-    rec.proc = static_cast<NodeId>(r.getU16());
+    const std::uint16_t proc = r.getU16();
+    rec.proc = static_cast<NodeId>(proc & ~kPartialStoreBit);
+    rec.partialStore = (proc & kPartialStoreBit) != 0;
     rec.idx = r.getU32();
     rec.vt = VectorTime::decode(r);
     rec.pages.resize(r.getU32());
@@ -742,7 +819,8 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     vt.mergeMax(global);
 
     // The departure records above all carry idx > our arrival vector
-    // >= gc_vt, so pruning cannot touch anything still pending.
+    // >= gc_vt. A notice at or below gc_vt is left only on a page this
+    // node did not keep, and such a page is discarded below.
     std::uint64_t pruned;
     {
         std::lock_guard<std::mutex> ig(nl->ilog);
@@ -751,6 +829,9 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     if (pruned > 0) {
         stats().gcRecordsReclaimed += pruned;
         stats().gcRounds++;
+        if (!homeMode())
+            discardPrunedPages(gc_vt);
+        ++gcEpoch;
         std::uint64_t diffs_pruned = 0;
         std::lock_guard<std::mutex> dg(nl->diff);
         for (auto it = diffStore.begin(); it != diffStore.end();) {
@@ -763,6 +844,47 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
             }
         }
         stats().gcDiffsReclaimed += diffs_pruned;
+        // Every copy of these pages elsewhere now holds what the
+        // store lacks: each node validated up to gc_vt or installed a
+        // keeper's copy that covers it.
+        std::erase_if(wholeCopies, [&](const auto &entry) {
+            return gc_vt.dominates(entry.second);
+        });
+    }
+    departVt = global;
+}
+
+void
+LrcRuntime::discardPrunedPages(const VectorTime &gc_vt)
+{
+    const auto pruned = [&](const std::pair<NodeId, std::uint32_t> &n) {
+        return n.second <= gc_vt[n.first];
+    };
+    const std::vector<PageId> invalid(invalidPages.begin(),
+                                      invalidPages.end());
+    for (PageId p : invalid) {
+        PageMeta &m = meta(p);
+        if (std::none_of(m.notices.begin(), m.notices.end(), pruned))
+            continue;
+        // Any writer this node holds a notice from keeps the page and
+        // validated it in this round; take the newest.
+        auto [it, fresh] = discarded.try_emplace(
+            p, Discarded{m.notices.back().first, VectorTime(numProcs)});
+        if (fresh) {
+            DSM_ASSERT(!keptAtGc(p, m),
+                       "page %u was kept at GC but has a pruned notice",
+                       p);
+            stats().gcPagesDiscarded++;
+        }
+        VectorTime &dropped = it->second.dropped;
+        for (const auto &notice : m.notices) {
+            if (pruned(notice))
+                dropped[notice.first] =
+                    std::max(dropped[notice.first], notice.second);
+        }
+        std::erase_if(m.notices, pruned);
+        if (m.notices.empty())
+            invalidPages.erase(p);
     }
 }
 
@@ -773,17 +895,20 @@ void
 LrcRuntime::preBarrier()
 {
     // Barrier-time GC, validation half (TreadMarks-style): once the
-    // interval log is big enough, bring every invalid page current so
-    // that all records within our vector are fully applied locally.
-    // Only records within our vector count: the manager's log already
-    // holds the records other nodes sent with their arrivals at this
-    // barrier, and counting them would make the trigger depend on
-    // arrival order. Vectors converge at barriers, so all nodes cross
-    // the threshold within one barrier of each other and the
-    // handshake completes.
+    // interval log is big enough, bring every invalid page this node
+    // keeps current, so that all records within our vector are fully
+    // applied to its copies. The rest it discards when the round
+    // completes (discardPrunedPages): a keeper's copy covers what GC
+    // prunes for them. Under home-based LRC the homes hold every page
+    // current, so nothing is kept or fetched. Only records within our
+    // vector count: the manager's log already holds the records other
+    // nodes sent with their arrivals at this barrier, and counting
+    // them would make the trigger depend on arrival order. Vectors
+    // converge at barriers, so all nodes cross the threshold within
+    // one barrier of each other and the handshake completes.
     if (!cluster->gcAtBarriers)
         return;
-    std::vector<PageId> invalid;
+    std::vector<PageId> kept;
     {
         std::lock_guard<std::mutex> g(nl->core);
         std::size_t records;
@@ -795,9 +920,14 @@ LrcRuntime::preBarrier()
             return;
         // The maintained invalid-page set is already sorted and holds
         // exactly the pages with pending notices.
-        invalid.assign(invalidPages.begin(), invalidPages.end());
+        if (!homeMode()) {
+            for (PageId p : invalidPages) {
+                if (discarded.count(p) == 0 && keptAtGc(p, meta(p)))
+                    kept.push_back(p);
+            }
+        }
     }
-    for (PageId p : invalid) {
+    for (PageId p : kept) {
         bool still_invalid;
         {
             // A batched fetch may have validated p as a piggyback of
@@ -811,8 +941,8 @@ LrcRuntime::preBarrier()
         // Proactive fetch, not an access fault: skip fetchPage's trap
         // accounting (accessMisses / pageFaultNs) so GC-on vs GC-off
         // ablations attribute this traffic to GC, not to misses, and
-        // let every candidate ride along, counting nothing: GC must
-        // bring every invalid page current anyway.
+        // let every kept candidate ride along, counting nothing: GC
+        // must bring those current anyway.
         fetchPageData(p, false);
     }
     {
@@ -938,10 +1068,17 @@ LrcRuntime::fetchPageData(PageId page, bool miss)
         fetchesInFlight.insert(page);
     }
     // A fetch validates the page unless a sibling's concurrent grant
-    // application raced a fresh notice in; retry until current.
+    // application raced a fresh notice in, or a keeper's copy left
+    // notices beyond it pending; retry until current.
+    const auto is_discarded = [&] {
+        std::lock_guard<std::mutex> g(nl->core);
+        return discarded.count(page) != 0;
+    };
     do {
         if (homeMode())
             fetchFromHome(page);
+        else if (is_discarded())
+            fetchFromKeeper(page, miss);
         else if (usesDiffing())
             fetchDiffs(page, miss);
         else
@@ -979,6 +1116,17 @@ encodePageRequest(NodeId origin, PageId page, const VectorTime &need,
     need.encode(w);
     req_log.encode(w);
     return w.take();
+}
+
+/** One whole page copy on the wire: the vector of writes it holds,
+ *  then its bytes. Home-page and keeper replies share it; the reader
+ *  decodes the vector and hands the rest to installFullPage. */
+void
+putPageCopy(WireWriter &w, const VectorTime &copy_vt,
+            const std::byte *bytes, std::size_t page_size)
+{
+    copy_vt.encode(w);
+    w.putBytes(bytes, page_size);
 }
 
 /** Happens-before linear extension (sum order) within each page. */
@@ -1034,10 +1182,14 @@ pendingWriters(const std::vector<std::pair<NodeId, std::uint32_t>> &notices,
         return;
     // Each writer's latest pending record; one this node never saw or
     // GC pruned dominates nothing (its writer is simply asked).
+    // So does a partialStore record: its writer installed one of its
+    // pages whole and cannot ship the intervals that copy holds.
     std::array<const IntervalRec *, 64> rec{};
     for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
         const NodeId w = std::countr_zero(ws);
         rec[w] = ilog.find(w, pw.top[w]);
+        if (rec[w] && rec[w]->partialStore)
+            rec[w] = nullptr;
     }
     const auto dominates = [&](NodeId w, NodeId u) {
         return w != u && rec[w] && rec[w]->vt[u] >= pw.top[u];
@@ -1119,19 +1271,7 @@ LrcRuntime::snapshotBatchTargets(PageId page, bool miss,
     };
 
     PageMeta &m = meta(page);
-    // The ride-along rule (DESIGN.md §10) acts on access misses only.
-    // A miss on a page over its bound means skipping it was wrong:
-    // double its bound and let this one fetch take every candidate.
-    bool skip_over_bound = miss;
-    if (miss) {
-        if (overRiderBound(m)) {
-            stats().piggybackWrongSkips++;
-            if (m.boundShift < 63)
-                m.boundShift++;
-            skip_over_bound = false;
-        }
-        m.riderBytes = 0;
-    }
+    const bool skip_over_bound = miss && !noteMiss(m);
     pendingWriters(m.notices, m.copyVt, route, ilog, pw);
     std::uint64_t asked = 0;
     for (const auto &[proc, idx] : m.notices) {
@@ -1149,9 +1289,11 @@ LrcRuntime::snapshotBatchTargets(PageId page, bool miss,
     // (exactly the pages with pending notices), not a walk over every
     // page ever touched: O(pending) under the node mutex.
     for (PageId p2 : invalidPages) {
-        if (p2 == page)
+        if (p2 == page || discarded.count(p2) != 0)
             continue;
         const PageMeta &m2 = meta(p2);
+        if (!miss && !keptAtGc(p2, m2))
+            continue;
         pendingWriters(m2.notices, m2.copyVt, route, ilog, pw);
         if ((pw.asked & ~asked) != 0)
             continue;
@@ -1409,6 +1551,89 @@ LrcRuntime::fetchFromHome(PageId page)
 }
 
 void
+LrcRuntime::fetchFromKeeper(PageId page, bool miss)
+{
+    NodeId keeper;
+    std::vector<PageId> want;
+    VectorTime log_cov;
+    {
+        std::lock_guard<std::mutex> g(nl->core);
+        const auto it = discarded.find(page);
+        if (it == discarded.end())
+            return; // a sibling's fetch installed it meanwhile
+        keeper = it->second.keeper;
+        log_cov = logCoverage();
+        // The ride-along rule of the diff and timestamp paths, over
+        // the other pages discarded with the same keeper.
+        const bool skip_over_bound = miss && !noteMiss(meta(page));
+        want.push_back(page);
+        if (cluster->batchDiffFetch) {
+            for (const auto &[p2, d] : discarded) {
+                if (p2 == page || d.keeper != keeper)
+                    continue;
+                if (skip_over_bound && overRiderBound(meta(p2))) {
+                    stats().piggybacksSkipped++;
+                    continue;
+                }
+                want.push_back(p2);
+            }
+        }
+    }
+    WireWriter w;
+    log_cov.encode(w);
+    w.putU32(static_cast<std::uint32_t>(want.size()));
+    for (PageId p : want)
+        w.putU32(p);
+    Message reply = ep->call(keeper, MsgType::PageCopyRequest, w.take());
+    WireReader r(reply.payload);
+
+    std::lock_guard<std::mutex> g(nl->core);
+    std::vector<BatchPageReq> installed;
+    for (PageId p : want) {
+        VectorTime got = VectorTime::decode(r);
+        const auto it = discarded.find(p);
+        if (it == discarded.end()) {
+            // A sibling's fetch installed it while ours was in flight,
+            // and its copy may have moved on since.
+            r.skip(arena->pageSize());
+            if (!usesDiffing())
+                readStampRuns(r, nullptr);
+            continue;
+        }
+        DSM_ASSERT(got.dominates(it->second.dropped),
+                   "keeper %d's copy of page %u (%s) lacks a dropped "
+                   "notice (%s)",
+                   keeper, p, got.toString().c_str(),
+                   it->second.dropped.toString().c_str());
+        installFullPage(p, r);
+        if (!usesDiffing())
+            readStampRuns(r, &tsOf(p));
+        clock().add(costModel().perWordApplyNs * (arena->pageSize() / 4));
+        discarded.erase(it);
+        if (usesDiffing()) {
+            std::lock_guard<std::mutex> dg(nl->diff);
+            wholeCopies[p] = got;
+        }
+        stats().wholePageFetches++;
+        PageMeta &m = meta(p);
+        m.copyVt = got;
+        if (miss && p != page)
+            addRiderBytes(m, arena->pageSize());
+        // Notices beyond the copy stay pending: the missed page goes
+        // on to the diff or timestamp path (fetchPageData's loop), a
+        // rider stays invalid until its own miss.
+        resolveCoveredNotices(p, m);
+        if (m.notices.empty())
+            restoreAccess(p);
+        installed.push_back({p, std::move(got)});
+    }
+    std::vector<IntervalRec> precs;
+    decodePiggybackedRecords(r, precs);
+    BufferPool::instance().release(std::move(reply.payload));
+    applyPiggybackedRecords(precs, installed);
+}
+
+void
 LrcRuntime::fetchTimestamps(PageId page, bool miss)
 {
     // One batched request per writer: snapshot the target page's
@@ -1572,6 +1797,9 @@ LrcRuntime::handleMessage(Message &msg)
       case MsgType::PageTsBatchRequest:
         handlePageTsBatchRequest(msg);
         break;
+      case MsgType::PageCopyRequest:
+        handlePageCopyRequest(msg);
+        break;
       case MsgType::HomeDiffFlush:
         handleHomeDiffFlush(msg);
         break;
@@ -1590,13 +1818,24 @@ void
 LrcRuntime::encodeDiffsNewerThan(WireWriter &w, PageId page,
                                  const VectorTime &req_vt)
 {
+    // A page installed whole lacks its writers' intervals up to the
+    // installed copy: a writer asked from below that copy gets no
+    // entry, so no shipped chain has a gap. Its own entries always
+    // ship; this node never wrote the page before installing it.
+    const auto whole = wholeCopies.find(page);
+    const auto complete = [&](NodeId writer) {
+        return whole == wholeCopies.end() ||
+               req_vt[writer] >= whole->second[writer];
+    };
     std::vector<std::pair<std::uint64_t, const DiffEntry *>> send;
     auto lo = diffStore.lower_bound({page, 0});
     auto hi = diffStore.upper_bound({page, ~std::uint64_t{0}});
     for (auto it = lo; it != hi; ++it) {
         const std::uint64_t key = it->first.second;
-        if (tsInterval(key) > req_vt[tsProc(key)])
+        if (tsInterval(key) > req_vt[tsProc(key)] &&
+            complete(tsProc(key))) {
             send.emplace_back(key, &it->second);
+        }
     }
     // Ship each of a writer's words once (DESIGN.md §10): walking its
     // entries, which the store lists in (writer, interval) order, from
@@ -1728,6 +1967,43 @@ LrcRuntime::handlePageTsBatchRequest(Message &msg)
               msg.replyToken);
 }
 
+void
+LrcRuntime::handlePageCopyRequest(Message &msg)
+{
+    WireReader r(msg.payload);
+    VectorTime req_log = VectorTime::decode(r);
+    const std::uint32_t npages = r.getU32();
+
+    // The committed copy of each page. Under twinning an open
+    // interval's writes live only in the page, and its close may
+    // revert some of them, so an open twin is what is committed. Under
+    // dirty bits the current bytes go, as in timestamp replies: every
+    // word written since the last close is stamped at the next one and
+    // fetched again.
+    std::lock_guard<std::mutex> g(nl->core);
+    WireWriter w;
+    for (std::uint32_t i = 0; i < npages; ++i) {
+        const PageId page = r.getU32();
+        PageMeta &m = meta(page);
+        DSM_ASSERT(m.copyVt[id] > 0,
+                   "node %d asked for its copy of page %u, which it "
+                   "never wrote",
+                   id, page);
+        {
+            std::lock_guard<std::mutex> sg(nl->shardFor(page));
+            putPageCopy(w, m.copyVt,
+                        twins.hasPage(page)
+                            ? twins.pageTwin(page).data()
+                            : arena->at(arena->pageBase(page)),
+                        arena->pageSize());
+        }
+        if (!usesDiffing())
+            putStampRuns(w, tsOf(page));
+    }
+    encodePiggybackedRecords(w, req_log);
+    ep->reply(msg.src, MsgType::PageCopyReply, w.take(), msg.replyToken);
+}
+
 // ---------------------------------------------------------------------
 // Home-based protocol servicing.
 
@@ -1737,10 +2013,10 @@ LrcRuntime::replyHomePage(NodeId origin, std::uint64_t token,
                           const VectorTime &req_log)
 {
     WireWriter w;
-    hs.appliedVt.encode(w);
     {
         std::lock_guard<std::mutex> sg(nl->shardFor(page));
-        w.putBytes(arena->at(arena->pageBase(page)), arena->pageSize());
+        putPageCopy(w, hs.appliedVt, arena->at(arena->pageBase(page)),
+                    arena->pageSize());
     }
     // Best effort: flushes can reach the home before the matching
     // records do, so appliedVt may briefly exceed what we can
@@ -2314,6 +2590,18 @@ LrcRuntime::serialize(WireWriter &w) const
         w.putI64(scratch.validatedArrivals);
         w.putI64(scratch.departsBuilt);
     }
+    departVt.encode(w);
+    w.putU32(static_cast<std::uint32_t>(discarded.size()));
+    for (const auto &[page, d] : discarded) {
+        w.putU32(page);
+        w.putU16(static_cast<std::uint16_t>(d.keeper));
+        d.dropped.encode(w);
+    }
+    w.putU32(static_cast<std::uint32_t>(wholeCopies.size()));
+    for (const auto &[page, copy_vt] : wholeCopies) {
+        w.putU32(page);
+        copy_vt.encode(w);
+    }
 }
 
 void
@@ -2427,6 +2715,20 @@ LrcRuntime::restoreFrom(WireReader &r)
         scratch.validatedArrivals = static_cast<int>(r.getI64());
         scratch.departsBuilt = static_cast<int>(r.getI64());
     }
+    departVt = VectorTime::decode(r);
+    discarded.clear();
+    const std::uint32_t ndiscarded = r.getU32();
+    for (std::uint32_t i = 0; i < ndiscarded; ++i) {
+        const PageId page = r.getU32();
+        const NodeId keeper = static_cast<NodeId>(r.getU16());
+        discarded.emplace(page, Discarded{keeper, VectorTime::decode(r)});
+    }
+    wholeCopies.clear();
+    const std::uint32_t nwhole = r.getU32();
+    for (std::uint32_t i = 0; i < nwhole; ++i) {
+        const PageId page = r.getU32();
+        wholeCopies.emplace(page, VectorTime::decode(r));
+    }
 }
 
 void
@@ -2450,6 +2752,9 @@ LrcRuntime::wipeForRecovery()
     ownIdxFlushed.store(0, std::memory_order_release);
     gcValidated = false;
     barrierScratch.clear();
+    discarded.clear();
+    wholeCopies.clear();
+    departVt = VectorTime(numProcs);
 }
 
 std::vector<std::uint32_t>

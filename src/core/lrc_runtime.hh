@@ -18,7 +18,9 @@
  * The same round trips refresh other invalid pages those writers
  * cover, each only until the bytes it has received that way since
  * this node last missed on it or wrote it reach the cost of one miss
- * (DESIGN.md §10).
+ * (DESIGN.md §10). Barrier GC validates only the invalid pages a node
+ * keeps and discards the rest; a miss on a discarded page installs a
+ * writer's whole committed copy.
  *
  * Write trapping is twinning (software-VM write faults) or compiler
  * instrumentation with hierarchical page + word dirty bits.
@@ -28,9 +30,10 @@
  * the homes eagerly (HomeDiffFlush), homes apply them in place, and an
  * access miss fetches one full up-to-date page copy from the home
  * (HomePageRequest/Reply) instead of collecting a diff chain from
- * every concurrent writer. No diffs are stored anywhere, so the
- * barrier-time diff GC handshake is a no-op, and homes migrate to the
- * dominant remote accessor past a configurable threshold.
+ * every concurrent writer. No diffs are stored anywhere and the homes
+ * hold every page current, so barrier GC validates nothing and only
+ * prunes interval records, and homes migrate to the dominant remote
+ * accessor past a configurable threshold.
  */
 
 #ifndef DSM_CORE_LRC_RUNTIME_HH
@@ -111,6 +114,10 @@ class LrcRuntime : public Runtime
          *  bound doubled, once per wrong skip. */
         std::uint64_t riderBytes = 0;
         std::uint8_t boundShift = 0;
+        /** Barrier-GC hint, not checkpointed: the gcEpoch of this
+         *  node's last access miss on the page. A page missed since the
+         *  previous GC round is kept (validated) at the next one. */
+        std::uint32_t missRound = 0;
     };
 
     PageMeta &meta(PageId page);
@@ -123,6 +130,12 @@ class LrcRuntime : public Runtime
 
     /** Add @p bytes a ride-along brought to @p m.riderBytes. */
     static void addRiderBytes(PageMeta &m, std::uint64_t bytes);
+
+    /** An access miss on @p m: zero its riderBytes and mark it missed
+     *  in this GC round. Returns whether it was over its rider bound,
+     *  a wrong skip: its bound doubles and this fetch takes every
+     *  candidate. */
+    bool noteMiss(PageMeta &m);
 
     /** Erase @p page's notices covered by its copyVt and keep
      *  invalidPages exact. Caller holds the node mutex. */
@@ -137,6 +150,28 @@ class LrcRuntime : public Runtime
      * cause. Caller holds the node mutex.
      */
     bool revalidateAfterFetch(PageId page, PageMeta &m);
+
+    /** Turn an inaccessible page with no pending notices readable
+     *  again, writable when it has an open twin. Takes the page's
+     *  shard; caller holds the node mutex. */
+    void restoreAccess(PageId page);
+
+    /**
+     * Does barrier GC keep (validate) invalid @p page rather than
+     * discard it (DESIGN.md §10)? Kept are the pages this node ever
+     * wrote or has open writes on (a twin, dirty words), the pages it
+     * took an access miss on since its previous GC round, and the
+     * pages whose copy holds an interval beyond departVt, which a
+     * keeper's copy is not known to cover. Caller holds the node
+     * mutex.
+     */
+    bool keptAtGc(PageId page, const PageMeta &m);
+
+    /** A completed GC round pruned everything at or below @p gc_vt:
+     *  discard the invalid pages left with a pruned notice, and drop
+     *  those notices from every discarded page. Caller holds the node
+     *  mutex. */
+    void discardPrunedPages(const VectorTime &gc_vt);
 
     /**
      * Close the current interval: detect the modified pages (drop
@@ -219,8 +254,8 @@ class LrcRuntime : public Runtime
      * sibling threads (SMP nodes): one in-flight fetch per page;
      * late-coming threads wait for it instead of issuing duplicate
      * request rounds. Used by fetchPage (@p miss) and the pre-barrier
-     * GC validation sweep, which must bring every invalid page
-     * current and so takes every ride-along.
+     * GC validation sweep, which brings every invalid page this node
+     * keeps current and so takes every kept ride-along.
      */
     void fetchPageData(PageId page, bool miss);
 
@@ -232,6 +267,12 @@ class LrcRuntime : public Runtime
      *  bytes it received to its riderBytes. */
     void fetchDiffs(PageId page, bool miss);
     void fetchTimestamps(PageId page, bool miss);
+
+    /** A miss on a page discarded at GC: install its keeper's whole
+     *  committed copy, plus (with batchDiffFetch) the other discarded
+     *  pages with the same keeper that ride along. Notices beyond the
+     *  installed copy stay pending for the diff or timestamp path. */
+    void fetchFromKeeper(PageId page, bool miss);
 
     /** Home mode: make @p page current with one request/reply against
      *  its home (or, at the home itself, by waiting for the in-flight
@@ -269,6 +310,7 @@ class LrcRuntime : public Runtime
     // Access-miss servicing (service thread).
     void handleDiffBatchRequest(Message &msg);
     void handlePageTsBatchRequest(Message &msg);
+    void handlePageCopyRequest(Message &msg);
 
     // Home-based protocol (service thread; all take the node mutex).
     void handleHomeDiffFlush(Message &msg);
@@ -374,7 +416,9 @@ class LrcRuntime : public Runtime
      * itself plus, with batchDiffFetch, the candidates: every other
      * invalid page whose undominated (otherwise: all) pending writers
      * are responders, which become fully consistent from the same
-     * round trips. On an access miss (@p miss) a candidate over its
+     * round trips. A discarded page never rides along, and a GC
+     * validation (not @p miss) takes only the pages this node keeps.
+     * On an access miss (@p miss) a candidate over its
      * rider bound stays out, unless @p page itself is over its bound:
      * then the skip was wrong, the page's bound doubles and every
      * candidate rides. The miss then zeroes @p page's riderBytes.
@@ -520,9 +564,36 @@ class LrcRuntime : public Runtime
      */
     std::atomic<std::uint32_t> ownIdxFlushed{0};
 
-    /** Set by preBarrier when this node validated all its pages ahead
-     *  of the upcoming arrival (the local half of the GC handshake). */
+    /** Set by preBarrier when this node validated all the pages it
+     *  keeps ahead of the upcoming arrival (the local half of the GC
+     *  handshake). */
     bool gcValidated = false;
+
+    /** A page discarded at barrier GC: its keeper, a writer of the
+     *  page, whose committed copy covers every notice dropped since;
+     *  and the newest dropped interval per writer. */
+    struct Discarded
+    {
+        NodeId keeper;
+        VectorTime dropped;
+    };
+    /** Homeless mode: the discarded pages, guarded by nl->core.
+     *  Correctness state: checkpointed. */
+    std::map<PageId, Discarded> discarded;
+    /** Diff mode: pages installed whole from a keeper, each with the
+     *  copy vector installed, until a GC round covers it. The diff
+     *  store lacks those pages' intervals up to that vector, so a reply
+     *  ships no entry of a writer asked from below it, and a record
+     *  that writes such a page is marked partialStore. Written under
+     *  nl->core and nl->diff, read under either; checkpointed. */
+    std::map<PageId, VectorTime> wholeCopies;
+    /** The vector of the last barrier departure. Every node's next
+     *  arrival is at or above it, and so is the next gc_vt. */
+    VectorTime departVt;
+    /** Completed GC rounds plus one: the epoch of PageMeta::missRound.
+     *  Not checkpointed, so a restored node's pages read as not missed
+     *  and it only discards more. */
+    std::uint32_t gcEpoch = 1;
 
     /** Barrier-manager scratch: per barrier, arrival vectors + count of
      *  departures already built (to reclaim the entry). */

@@ -38,6 +38,8 @@ FaultInjector::droppable(MsgType type)
     case MsgType::DiffBatchReply:
     case MsgType::PageTsBatchRequest:
     case MsgType::PageTsBatchReply:
+    case MsgType::PageCopyRequest:
+    case MsgType::PageCopyReply:
         return true;
     // Chain-routed or one-way traffic: a LockRequest is answered via
     // LockForward at a *third* node, home flushes forward along stale

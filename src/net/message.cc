@@ -16,6 +16,8 @@ toString(MsgType type)
       case MsgType::DiffBatchReply: return "DiffBatchReply";
       case MsgType::PageTsBatchRequest: return "PageTsBatchRequest";
       case MsgType::PageTsBatchReply: return "PageTsBatchReply";
+      case MsgType::PageCopyRequest: return "PageCopyRequest";
+      case MsgType::PageCopyReply: return "PageCopyReply";
       case MsgType::HomeDiffFlush: return "HomeDiffFlush";
       case MsgType::HomePageRequest: return "HomePageRequest";
       case MsgType::HomePageReply: return "HomePageReply";

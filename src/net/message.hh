@@ -35,6 +35,9 @@ enum class MsgType : std::uint8_t
     PageTsBatchRequest, ///< faulting node -> writer: timestamp runs for
                         ///< several pages in one round trip
     PageTsBatchReply,
+    PageCopyRequest, ///< faulting node -> keeper: whole committed copies
+                     ///< of pages it discarded at barrier GC
+    PageCopyReply,
 
     // Home-based LRC (pages have homes that absorb diffs eagerly).
     HomeDiffFlush,   ///< writer -> home: diffs of one closed interval

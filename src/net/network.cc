@@ -34,8 +34,10 @@ Network::send(Message &&msg, NodeStats &sender_stats)
     // it was counted and charged — but never reaches the destination
     // inbox. The Endpoint deadline/retransmit path recovers it. One
     // pointer test when the layer is off.
-    if (faults && faults->dropMessage(msg))
+    if (faults && faults->dropMessage(msg)) {
+        sender_stats.messagesDropped++;
         return;
+    }
 
     // Reply bypass: hand the reply straight to the parked caller
     // instead of paying inbox push + service-thread wake + futex

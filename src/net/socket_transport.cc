@@ -359,8 +359,10 @@ SocketTransport::send(Message &&msg, NodeStats &sender_stats)
     // Send-side fault injection, exactly as on tier 0: the message
     // was charged but never reaches the wire; the endpoint
     // deadline/retransmit path recovers it.
-    if (faults && faults->dropMessage(msg))
+    if (faults && faults->dropMessage(msg)) {
+        sender_stats.messagesDropped++;
         return;
+    }
 
     if (msg.dst == id) {
         deliverLocal(std::move(msg));

@@ -16,6 +16,7 @@ forEachField(Stats &s, Fn fn)
     fn("bytesSent", s.bytesSent);
     fn("bytesReceived", s.bytesReceived);
     fn("retransmissions", s.retransmissions);
+    fn("messagesDropped", s.messagesDropped);
     fn("repliesBypassed", s.repliesBypassed);
     fn("replyBypassRefusals", s.replyBypassRefusals);
     fn("idlePolls", s.idlePolls);
@@ -65,6 +66,8 @@ forEachField(Stats &s, Fn fn)
     fn("gcRounds", s.gcRounds);
     fn("gcRecordsReclaimed", s.gcRecordsReclaimed);
     fn("gcDiffsReclaimed", s.gcDiffsReclaimed);
+    fn("gcPagesDiscarded", s.gcPagesDiscarded);
+    fn("wholePageFetches", s.wholePageFetches);
     fn("updatesSent", s.updatesSent);
     fn("updateBytesSent", s.updateBytesSent);
     fn("rebinds", s.rebinds);

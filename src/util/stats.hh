@@ -34,6 +34,9 @@ struct NodeStats
     /** Request retransmissions by the Endpoint deadline path after a
      *  fault-injected drop (or a reply slower than the deadline). */
     std::uint64_t retransmissions = 0;
+    /** Messages the fault injector discarded after they were charged
+     *  on the wire, counted at the sender. */
+    std::uint64_t messagesDropped = 0;
     /** Replies delivered straight into the blocked caller's futex
      *  reply slot, skipping the receiver's service-thread inbox hop.
      *  Counted at the sending node. */
@@ -146,6 +149,13 @@ struct NodeStats
     std::uint64_t gcRounds = 0;
     std::uint64_t gcRecordsReclaimed = 0;
     std::uint64_t gcDiffsReclaimed = 0;
+    /** Invalid pages a node discarded at a GC round instead of
+     *  validating them: it never wrote them and took no access miss on
+     *  them since its previous round (DESIGN.md §10). */
+    std::uint64_t gcPagesDiscarded = 0;
+    /** Discarded pages installed whole from their keeper, on a miss
+     *  or riding along on one. */
+    std::uint64_t wholePageFetches = 0;
 
     // EC protocol.
     std::uint64_t updatesSent = 0;

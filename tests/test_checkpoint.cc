@@ -40,16 +40,22 @@ struct ProtocolLeg
     const char *label;
     const char *config;
     bool home;
+    /** Barrier GC threshold in interval records (0 keeps the default,
+     *  which these kernels never reach). */
+    std::uint32_t gcThreshold = 0;
 };
 
 // The three implementations of the paper's comparison; recovery must
 // be invisible under each (homeless LRC checkpoints its interval log
 // and diff store, home-based LRC its home table and parked flushes,
-// EC its lock bindings and incarnation history).
+// EC its lock bindings and incarnation history). The last leg runs
+// barrier GC mid-kernel, so the victim can be restored holding pages
+// it discarded (their keepers and dropped notices are checkpointed).
 const ProtocolLeg kLegs[] = {
     {"EC", "EC-diff", false},
     {"LRC", "LRC-diff", false},
     {"LRC_home", "LRC-diff", true},
+    {"LRC_gc", "LRC-diff", false, 4},
 };
 
 struct FaultPlan
@@ -104,6 +110,8 @@ runCase(const ProtocolLeg &leg, const KernelCase &kc, const FaultPlan &f)
     cc.pageSize = 1024;
     cc.runtime = RuntimeConfig::parse(leg.config);
     cc.homeBasedLrc = leg.home;
+    if (leg.gcThreshold > 0)
+        cc.gcIntervalThreshold = leg.gcThreshold;
     // A low threshold makes homes migrate *during* the kernels, so
     // recovery also covers mid-flight migration state.
     cc.homeMigrateThreshold = 4;
@@ -168,7 +176,12 @@ TEST_P(CheckpointRecovery, ChaosKillIsInvisible)
         EXPECT_EQ(reference.result.total.retransmissions, 0u);
         EXPECT_EQ(reference.result.checkpointBytes, 0u);
 
-        const RunOutput chaos = runCase(leg, kc, kill);
+        // The GC leg's victim holds no discarded page before its first
+        // GC rounds; from the eighth cut on it does at 4 and 8 nodes.
+        FaultPlan plan = kill;
+        if (leg.gcThreshold > 0)
+            plan.killEpoch = 8;
+        const RunOutput chaos = runCase(leg, kc, plan);
         expectBitIdentical(kc, leg, reference.state, chaos.state);
         // Every node checkpoints at every barrier cut; exactly one
         // node died and was rebuilt.

@@ -757,15 +757,17 @@ class ArrivalFirstGate final : public RingForwarder
 
 TEST(LrcBarrierGc, TriggerIgnoresRecordsThatArriveAtTheBarrier)
 {
-    // Node 1 rewrites pages A, B and C in each of 12 rounds (one
-    // interval each), node 0 reads A in every round, and GC triggers
-    // at 6 records. A fully rewritten 4 KiB page brings a ride-along
-    // over 4 KiB, so B and C ride along on A's misses in rounds 1-4
-    // and are skipped from round 5 on (DESIGN.md §10). Both nodes
-    // validate at the end of rounds 6 and 12 (barriers 12 and 24); a
-    // validation fetches B, and C rides along.
+    // Node 0 writes a word of pages B and C once, before barrier 0, so
+    // barrier GC keeps (validates) them rather than discarding them
+    // (DESIGN.md §10). Node 1 then rewrites A, B and C in each of 13
+    // rounds (one interval each), node 0 reads A in every round, and
+    // GC triggers at 7 records, node 0's one included. A fully
+    // rewritten 4 KiB page brings a ride-along over 4 KiB, so B and C
+    // ride along on A's misses in rounds 1-4 and are skipped from
+    // round 5 on. Both nodes validate at the end of rounds 6 and 13
+    // (barriers 12 and 26); a validation fetches B, and C rides along.
     constexpr int kNodes = 2;
-    constexpr int kRounds = 12;
+    constexpr int kRounds = 13;
     constexpr int kPageInts = 1024;
     const auto value = [](int round, int page, int i) {
         return round * 100000 + page * 10000 + i;
@@ -773,7 +775,7 @@ TEST(LrcBarrierGc, TriggerIgnoresRecordsThatArriveAtTheBarrier)
     for (const std::string name : {"LRC-diff", "LRC-time"}) {
         SCOPED_TRACE(name);
         ClusterConfig cc = lrcConfig(name, kNodes, 4096);
-        cc.gcIntervalThreshold = 6;
+        cc.gcIntervalThreshold = 7;
         ArrivalFirstGate net(kNodes, cc.cost);
         std::vector<std::unique_ptr<GateNode>> nodes;
         for (int i = 0; i < kNodes; ++i)
@@ -807,6 +809,10 @@ TEST(LrcBarrierGc, TriggerIgnoresRecordsThatArriveAtTheBarrier)
                     EXPECT_EQ(wrong, 0)
                         << "page " << page << ", round " << round;
                 };
+                if (i == 0) {
+                    a.set(kPageInts, -1);
+                    a.set(2 * kPageInts, -1);
+                }
                 barrier(0);
                 std::vector<int> words(3 * kPageInts);
                 for (int round = 1; round <= kRounds; ++round) {
@@ -835,10 +841,10 @@ TEST(LrcBarrierGc, TriggerIgnoresRecordsThatArriveAtTheBarrier)
 
         const NodeStats &s = ctx[0].stats;
         const bool diffing = name == "LRC-diff";
-        EXPECT_EQ(s.accessMisses, 12u);
+        EXPECT_EQ(s.accessMisses, 13u);
         // A miss per round, and one fetch per validation.
-        EXPECT_EQ(diffing ? s.diffRequestsSent : s.tsRequestsSent, 14u);
-        EXPECT_EQ(s.piggybacksSkipped, 16u);
+        EXPECT_EQ(diffing ? s.diffRequestsSent : s.tsRequestsSent, 15u);
+        EXPECT_EQ(s.piggybacksSkipped, 18u);
         EXPECT_EQ(diffing ? s.diffPagesPiggybacked : s.tsPagesPiggybacked,
                   10u);
         EXPECT_EQ(s.gcRounds, 2u);

@@ -5,13 +5,14 @@
  * stays bounded across many epochs), the batched diff-fetch protocol
  * (fewer request messages for the same final memory image), and the
  * routing of a homeless miss to its undominated writers (each missing
- * diff crosses the wire once), the trim of diff replies, and which
- * invalid pages ride along on a miss.
+ * diff crosses the wire once), the trim of diff replies, which invalid
+ * pages ride along on a miss, and which pages barrier GC discards.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "core/cluster.hh"
@@ -792,38 +793,306 @@ TEST(LrcPiggyback, AWriteKeepsThePageRiding)
     }
 }
 
-TEST(LrcPiggyback, GcValidationFetchesSkippedPages)
+TEST(LrcPiggyback, GcDiscardsSkippedPagesAndAMissFetchesThemWhole)
 {
     // Barrier GC prunes at the end of rounds 6 and 12. Node 0 reads A
-    // in rounds 1-4 and 7-10, so B and C ride along in rounds 1-4 and
-    // are skipped in rounds 7-10. Each validation fetches A, and B and
-    // C ride along: GC takes every candidate and counts nothing, so
-    // the validation at round 6 leaves B and C skipped. After the last
-    // barrier node 0 reads all three pages with no miss, so no notice
-    // was left pending. (As barrier manager, node 0 can hold node 1's
-    // record of round 6 or 12 one barrier early and validate there.
-    // With no read in rounds 5, 6, 11 and 12 that fetches the same
-    // intervals in one request either way.)
+    // in rounds 1-4 and 7-10, so B and C ride along in rounds 1-4. The
+    // validation at round 6 fetches A alone: B and C were never
+    // written or missed by node 0, so it discards them when the round
+    // completes, and from then on they are no candidates (no skips in
+    // rounds 7-10). The validation at round 12 fetches A alone again.
+    // After the last barrier node 0 reads A with no miss and misses on
+    // B: one request to its keeper, node 1, brings B and C whole. B's
+    // ride-alongs had reached the bound, so that miss is a wrong skip
+    // and C rides along.
     for (const std::string name : {"LRC-diff", "LRC-time"}) {
         SCOPED_TRACE(name);
         const RiderCounts c{name == "LRC-diff"};
         RunResult r = runRiders(name, {.rounds = 12, .gcThreshold = 6});
-        EXPECT_EQ(r.perNode[0].accessMisses, 8u);
+        EXPECT_EQ(r.perNode[0].accessMisses, 9u);
         EXPECT_EQ(c.requests(r.perNode[0]), 10u);
         EXPECT_EQ(r.perNode[0].gcRounds, 2u);
         EXPECT_EQ(r.perNode[1].gcRounds, 2u);
-        // Rounds 1-4 and each validation: B and C.
-        EXPECT_EQ(c.piggybacked(r.perNode[0]), 12u);
-        EXPECT_EQ(r.perNode[0].piggybacksSkipped, 8u);
-        EXPECT_EQ(r.total.piggybackWrongSkips, 0u);
+        EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 2u);
+        EXPECT_EQ(r.perNode[1].gcPagesDiscarded, 0u);
+        EXPECT_EQ(r.perNode[0].wholePageFetches, 2u);
+        // Rounds 1-4: B and C.
+        EXPECT_EQ(c.piggybacked(r.perNode[0]), 8u);
+        EXPECT_EQ(r.perNode[0].piggybacksSkipped, 0u);
+        EXPECT_EQ(r.total.piggybackWrongSkips, 1u);
         // A in 8 rounds, B and C in rounds 1-4, and two intervals of A
-        // and of B and C in the first validation, and two of A and six
-        // of B and C in the second. A diff reply ships all but the
-        // newest of a page's entries as bare headers.
+        // in each validation. A diff reply ships the older entry of a
+        // rewritten page as a bare header. The whole copies are no
+        // diff or timestamp bytes. Validating B and C as well took 22
+        // pages and 14 headers.
         EXPECT_EQ(c.bytes(r.perNode[1]),
-                  c.pages(22) +
-                      (c.diffing ? 14 * Diff::kHeaderBytes : 0));
+                  c.pages(18) + (c.diffing ? 2 * Diff::kHeaderBytes : 0));
     }
+}
+
+// ---------------------------------------------------------------------
+// Discarding unused pages at barrier GC: a node validates only the
+// invalid pages it keeps (ever written, or missed since its previous
+// GC round) and discards the rest; a miss on a discarded page installs
+// its keeper's committed copy (DESIGN.md §10).
+
+/** Each of @p words copied into @p a from index @p first. */
+void
+storeWords(SharedArray<int> &a, std::size_t first, int n,
+           const std::function<int(int)> &value)
+{
+    std::vector<int> words(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        words[static_cast<std::size_t>(i)] = value(i);
+    a.store(first, words.data(), words.size());
+}
+
+/** How many of @p n words of @p a from @p first differ from value. */
+int
+wrongWords(SharedArray<int> &a, std::size_t first, int n,
+           const std::function<int(int)> &value)
+{
+    std::vector<int> got(static_cast<std::size_t>(n));
+    a.load(first, got.data(), got.size());
+    int wrong = 0;
+    for (int i = 0; i < n; ++i)
+        wrong += got[static_cast<std::size_t>(i)] != value(i);
+    return wrong;
+}
+
+ClusterConfig
+discardConfig(const std::string &name, int nprocs, int gc_threshold)
+{
+    ClusterConfig cc = gcConfig(name, nprocs);
+    cc.pageSize = 4096;
+    cc.gcAtBarriers = true;
+    cc.gcIntervalThreshold = static_cast<std::uint32_t>(gc_threshold);
+    return cc;
+}
+
+TEST(LrcDiscard, ADiscardedPageReadsTheKeepersCopy)
+{
+    // Node 1 rewrites page A in each of 8 rounds, one interval and one
+    // barrier each; GC runs at 3 records, at barriers 4 and 7. Node 0
+    // never reads A before the end: it discards A at barrier 4 and
+    // drops its notices again at barrier 7. Its one miss installs node
+    // 1's copy, which covers every notice, so no diff or timestamp
+    // request follows. Validating A took one fetch per GC round.
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        const RiderCounts c{name == "LRC-diff"};
+        Cluster cluster(discardConfig(name, 2, 3));
+        RunResult r = cluster.run([](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, kRiderPageInts);
+            rt.barrier(0);
+            for (int round = 1; round <= 8; ++round) {
+                if (rt.self() == 1) {
+                    storeWords(a, 0, kRiderPageInts, [&](int i) {
+                        return riderValue(round, kPageA, i);
+                    });
+                }
+                rt.barrier(round);
+            }
+            if (rt.self() == 0) {
+                EXPECT_EQ(wrongWords(a, 0, kRiderPageInts, [](int i) {
+                              return riderValue(8, kPageA, i);
+                          }),
+                          0);
+            }
+        });
+        EXPECT_EQ(r.perNode[0].gcRounds, 2u);
+        EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 1u);
+        EXPECT_EQ(r.perNode[0].wholePageFetches, 1u);
+        EXPECT_EQ(r.perNode[0].accessMisses, 1u);
+        EXPECT_EQ(c.requests(r.perNode[0]), 0u);
+        EXPECT_EQ(c.bytes(r.perNode[1]), 0u);
+        EXPECT_EQ(r.perNode[1].gcPagesDiscarded, 0u);
+    }
+}
+
+TEST(LrcDiscard, KeeperCopyPlusALaterDiffOfAnotherWriter)
+{
+    // Node 1 rewrites its half of page A in round 1, node 2 the other
+    // half in round 2; GC runs at 2 records, at barrier 3. Node 0
+    // discards A with node 2, the writer of its newest notice, as
+    // keeper. Node 1 then rewrites its half twice (rounds 4 and 6), and
+    // node 2 reads A in between. So node 2's copy holds node 1's
+    // round-4 interval, and node 0's miss installs it and asks node 1
+    // for the round-6 interval alone. Each round has one writer, so
+    // every fetch sees the same intervals on every schedule.
+    constexpr int kHalf = kRiderPageInts / 2;
+    const auto half_value = [](int writer, int round) {
+        return [=](int i) { return riderValue(round, writer, i); };
+    };
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        const RiderCounts c{name == "LRC-diff"};
+        Cluster cluster(discardConfig(name, 3, 2));
+        RunResult r = cluster.run([&](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, kRiderPageInts);
+            const int self = rt.self();
+            const auto write_half = [&](int round) {
+                storeWords(a, static_cast<std::size_t>(self - 1) * kHalf,
+                           kHalf, half_value(self, round));
+            };
+            rt.barrier(0);
+            for (int round = 1; round <= 6; ++round) {
+                // The writer of each round; node 0 stands for none.
+                constexpr int kWriter[] = {0, 1, 2, 0, 1, 0, 1};
+                if (self != 0 && self == kWriter[round])
+                    write_half(round);
+                if (self == 2 && round == 5) {
+                    EXPECT_EQ(wrongWords(a, 0, kHalf, half_value(1, 4)),
+                              0);
+                }
+                rt.barrier(round);
+            }
+            if (self == 0) {
+                EXPECT_EQ(wrongWords(a, 0, kHalf, half_value(1, 6)), 0);
+                EXPECT_EQ(wrongWords(a, kHalf, kHalf, half_value(2, 2)),
+                          0);
+            }
+        });
+        EXPECT_EQ(r.perNode[0].gcRounds, 1u);
+        EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 1u);
+        EXPECT_EQ(r.perNode[0].wholePageFetches, 1u);
+        EXPECT_EQ(r.perNode[0].accessMisses, 1u);
+        EXPECT_EQ(c.requests(r.perNode[0]), 1u);
+        // Node 1's half once per interval a node fetched: round 1 to
+        // node 2 on its round-2 write fault, round 4 to node 2's read
+        // and round 6 to node 0. Asking node 1 from below the keeper's
+        // copy would ship round 4 again, and node 2's half.
+        const std::uint64_t half_bytes =
+            c.diffing ? Diff::kHeaderBytes + Diff::kRunHeaderBytes +
+                            4 * kHalf
+                      : TsRunWire::kHeaderBytes + 4 * kHalf;
+        EXPECT_EQ(c.bytes(r.perNode[1]), 3 * half_bytes);
+    }
+}
+
+TEST(LrcDiscard, AnOpenIntervalServesOnlyCommittedBytes)
+{
+    // Node 1 rewrites page A in rounds 1-4; GC at barrier 4 discards
+    // it at node 0. In round 5 node 1 writes word X, and node 0's miss
+    // on word Y reaches node 1 while that interval is open; node 1
+    // then writes X's old value back and writes word Z. The copy node
+    // 1 serves is its twin, so node 0 never holds the transient X: the
+    // close finds X unchanged and sends no new value for it.
+    constexpr int kX = 10, kY = 20, kZ = 30;
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        ClusterConfig cc = discardConfig(name, 2, 3);
+        cc.transport = "ring"; // host-atomic phases below
+        Cluster cluster(cc);
+        std::atomic<int> phase{0};
+        const auto await = [&phase](int p) {
+            while (phase.load() < p)
+                std::this_thread::yield();
+        };
+        RunResult r = cluster.run([&](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, kRiderPageInts);
+            rt.barrier(0);
+            for (int round = 1; round <= 4; ++round) {
+                if (rt.self() == 1) {
+                    storeWords(a, 0, kRiderPageInts, [&](int i) {
+                        return riderValue(round, kPageA, i);
+                    });
+                }
+                rt.barrier(round);
+            }
+            if (rt.self() == 1) {
+                a.set(kX, -7);
+                phase.store(1);
+                await(2);
+                a.set(kX, riderValue(4, kPageA, kX));
+                a.set(kZ, 555);
+            } else {
+                await(1);
+                EXPECT_EQ(a.get(kY), riderValue(4, kPageA, kY));
+                phase.store(2);
+            }
+            rt.barrier(5);
+            if (rt.self() == 0) {
+                EXPECT_EQ(a.get(kX), riderValue(4, kPageA, kX));
+                EXPECT_EQ(a.get(kZ), 555);
+            }
+        });
+        EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 1u);
+        EXPECT_EQ(r.perNode[0].wholePageFetches, 1u);
+    }
+}
+
+TEST(LrcDiscard, AWrittenPageIsNeverDiscarded)
+{
+    // Round 1: node 1 writes word 1 of page A and page B, node 2 word
+    // 2 of A. Rounds 2-5: node 1 rewrites B. GC at 4 records runs at
+    // barrier 4. Node 2 wrote A, so it keeps A and validates it (one
+    // request) though it never reads it, and discards B. Node 0
+    // discards both, with node 2 as A's keeper: its copy must hold
+    // node 1's word, or node 0 would read a stale one.
+    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+        SCOPED_TRACE(name);
+        const RiderCounts c{name == "LRC-diff"};
+        Cluster cluster(discardConfig(name, 3, 4));
+        RunResult r = cluster.run([](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, 2 * kRiderPageInts);
+            const int self = rt.self();
+            rt.barrier(0);
+            for (int round = 1; round <= 5; ++round) {
+                if (self == 1) {
+                    if (round == 1)
+                        a.set(1, 11);
+                    a.set(kRiderPageInts + round, round);
+                } else if (self == 2 && round == 1) {
+                    a.set(2, 22);
+                }
+                rt.barrier(round);
+            }
+            if (self == 0) {
+                EXPECT_EQ(a.get(1), 11);
+                EXPECT_EQ(a.get(2), 22);
+            }
+        });
+        EXPECT_EQ(r.perNode[2].gcRounds, 1u);
+        EXPECT_EQ(r.perNode[2].gcPagesDiscarded, 1u);
+        EXPECT_EQ(c.requests(r.perNode[2]), 1u);
+        EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 2u);
+        EXPECT_EQ(r.perNode[0].wholePageFetches, 1u);
+        EXPECT_EQ(r.perNode[0].accessMisses, 1u);
+    }
+}
+
+TEST(LrcDiscard, HomeBasedGcFetchesNothing)
+{
+    // Home-based LRC: node 1 rewrites pages A (homed at node 0) and B
+    // (homed at node 1) in each of 8 rounds; GC runs at 3 records.
+    // The homes hold every page current, so a GC round validates
+    // nothing: the only round trip is node 0's miss on B at the end.
+    // Validating B took one round trip per GC round.
+    ClusterConfig cc = discardConfig("LRC-diff", 2, 3);
+    cc.homeBasedLrc = true;
+    cc.homeMigrateThreshold = 0;
+    Cluster cluster(cc);
+    RunResult r = cluster.run([](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 2 * kRiderPageInts);
+        rt.barrier(0);
+        for (int round = 1; round <= 8; ++round) {
+            if (rt.self() == 1) {
+                a.set(0, round);
+                a.set(kRiderPageInts, round);
+            }
+            rt.barrier(round);
+        }
+        if (rt.self() == 0) {
+            EXPECT_EQ(a.get(0), 8);
+            EXPECT_EQ(a.get(kRiderPageInts), 8);
+        }
+    });
+    EXPECT_EQ(r.perNode[0].gcRounds, 2u);
+    EXPECT_EQ(r.perNode[0].accessMisses, 1u);
+    EXPECT_EQ(r.perNode[0].pageFetchRoundTrips, 1u);
+    EXPECT_EQ(r.perNode[1].pageFetchRoundTrips, 0u);
+    EXPECT_EQ(r.total.gcPagesDiscarded, 0u);
 }
 
 } // namespace

@@ -101,7 +101,8 @@ const ProtocolLeg kLegs[] = {
      .home = false,
      .piggyback = true,
      .batch = false},
-    // Barrier GC mid-kernel, once per homeless collection method.
+    // Barrier GC mid-kernel, once per homeless collection method and
+    // once home-based.
     {.label = "LRC_gc",
      .config = "LRC-diff",
      .home = false,
@@ -110,6 +111,11 @@ const ProtocolLeg kLegs[] = {
     {.label = "LRC_time_gc",
      .config = "LRC-time",
      .home = false,
+     .piggyback = true,
+     .gcThreshold = 4},
+    {.label = "LRC_home_gc",
+     .config = "LRC-diff",
+     .home = true,
      .piggyback = true,
      .gcThreshold = 4},
 };
@@ -151,6 +157,8 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.homePingPongLimit = leg.lastWriter ? 3 : 0;
     Cluster cluster(cc);
     const RunResult result = cluster.run(kc.run);
+    const bool stencil = std::strcmp(kc.name, "stencil") == 0;
+    const bool homeless = cc.runtime.model == Model::LRC && !leg.home;
     // The GC legs must really run GC: the stencil and the ring cross
     // the threshold on every schedule. The task queue's record count
     // depends on the schedule, so it may finish with no GC round.
@@ -159,20 +167,36 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
             << kc.name << " np=" << kc.nprocs << "x" << kc.threads
             << ": " << leg.label << " ran no GC round";
     }
+    // The homeless GC legs must really discard: on the stencil each
+    // node neither writes nor reads its neighbours' inner rows.
+    if (leg.gcThreshold > 0 && homeless && stencil) {
+        EXPECT_GT(result.total.gcPagesDiscarded, 0u)
+            << kc.name << " np=" << kc.nprocs << "x" << kc.threads
+            << ": " << leg.label << " discarded no page";
+    }
     // The last-writer legs must really migrate: the stencil and the
     // ring switch writers on every schedule. The task queue's writer
-    // sequence depends on the schedule, so it may migrate nothing.
+    // sequence depends on the schedule, so it may migrate nothing. On
+    // the stencil at 4 and 8 nodes the last-writer classifier itself
+    // fires; access counts alone can account for the rest.
     if (leg.lastWriter && std::strcmp(kc.name, "taskqueue") != 0) {
         EXPECT_GT(result.total.homeMigrations, 0u)
             << kc.name << " np=" << kc.nprocs << "x" << kc.threads
             << ": " << leg.label << " migrated no home";
     }
+    if (leg.lastWriter && stencil && kc.nprocs >= 4) {
+        EXPECT_GT(result.total.lastWriterMigrations, 0u)
+            << kc.name << " np=" << kc.nprocs << "x" << kc.threads
+            << ": " << leg.label << " made no last-writer migration";
+    }
     // The homeless legs that piggyback must reach the ride-along
     // rule's skip path: at 2 nodes the stencil's halo misses stop
     // carrying the neighbour's inner pages once each has received one
-    // miss's worth of bytes that way.
-    if (cc.runtime.model == Model::LRC && !leg.home && leg.batch &&
-        kc.nprocs == 2 && std::strcmp(kc.name, "stencil") == 0) {
+    // miss's worth of bytes that way. On the GC legs barrier GC
+    // discards those pages first (checked above), and a discarded
+    // page is no ride-along candidate.
+    if (homeless && leg.batch && leg.gcThreshold == 0 &&
+        kc.nprocs == 2 && stencil) {
         EXPECT_GT(result.total.piggybacksSkipped, 0u)
             << kc.name << " np=" << kc.nprocs << "x" << kc.threads
             << ": " << leg.label << " skipped no piggyback";
