@@ -875,6 +875,10 @@ LrcRuntime::discardPrunedPages(const VectorTime &gc_vt)
                        "page %u was kept at GC but has a pruned notice",
                        p);
             stats().gcPagesDiscarded++;
+            // What rode along before is gone with the copy, and nothing
+            // rides a discarded page along: a later miss on it is no
+            // wrong skip, and it rides along on its keeper's fetches.
+            m.riderBytes = 0;
         }
         VectorTime &dropped = it->second.dropped;
         for (const auto &notice : m.notices) {
@@ -1563,19 +1567,16 @@ LrcRuntime::fetchFromKeeper(PageId page, bool miss)
             return; // a sibling's fetch installed it meanwhile
         keeper = it->second.keeper;
         log_cov = logCoverage();
-        // The ride-along rule of the diff and timestamp paths, over
-        // the other pages discarded with the same keeper.
-        const bool skip_over_bound = miss && !noteMiss(meta(page));
+        if (miss)
+            noteMiss(meta(page));
+        // Under the ride-along rule every other page discarded with
+        // the same keeper rides along: a discarded page's riderBytes
+        // is zero (discardPrunedPages).
         want.push_back(page);
         if (cluster->batchDiffFetch) {
             for (const auto &[p2, d] : discarded) {
-                if (p2 == page || d.keeper != keeper)
-                    continue;
-                if (skip_over_bound && overRiderBound(meta(p2))) {
-                    stats().piggybacksSkipped++;
-                    continue;
-                }
-                want.push_back(p2);
+                if (p2 != page && d.keeper == keeper)
+                    want.push_back(p2);
             }
         }
     }

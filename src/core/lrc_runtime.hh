@@ -168,9 +168,9 @@ class LrcRuntime : public Runtime
     bool keptAtGc(PageId page, const PageMeta &m);
 
     /** A completed GC round pruned everything at or below @p gc_vt:
-     *  discard the invalid pages left with a pruned notice, and drop
-     *  those notices from every discarded page. Caller holds the node
-     *  mutex. */
+     *  discard the invalid pages left with a pruned notice (zeroing
+     *  their riderBytes), and drop those notices from every discarded
+     *  page. Caller holds the node mutex. */
     void discardPrunedPages(const VectorTime &gc_vt);
 
     /**
@@ -269,9 +269,10 @@ class LrcRuntime : public Runtime
     void fetchTimestamps(PageId page, bool miss);
 
     /** A miss on a page discarded at GC: install its keeper's whole
-     *  committed copy, plus (with batchDiffFetch) the other discarded
-     *  pages with the same keeper that ride along. Notices beyond the
-     *  installed copy stay pending for the diff or timestamp path. */
+     *  committed copy, plus (with batchDiffFetch) every other page
+     *  discarded with the same keeper, riding along. Notices beyond
+     *  the installed copy stay pending for the diff or timestamp
+     *  path. */
     void fetchFromKeeper(PageId page, bool miss);
 
     /** Home mode: make @p page current with one request/reply against

@@ -802,9 +802,9 @@ TEST(LrcPiggyback, GcDiscardsSkippedPagesAndAMissFetchesThemWhole)
     // completes, and from then on they are no candidates (no skips in
     // rounds 7-10). The validation at round 12 fetches A alone again.
     // After the last barrier node 0 reads A with no miss and misses on
-    // B: one request to its keeper, node 1, brings B and C whole. B's
-    // ride-alongs had reached the bound, so that miss is a wrong skip
-    // and C rides along.
+    // B: one request to its keeper, node 1, brings B and C whole. The
+    // discard zeroed what B and C had received riding along, so that
+    // miss is no wrong skip, and C rides along.
     for (const std::string name : {"LRC-diff", "LRC-time"}) {
         SCOPED_TRACE(name);
         const RiderCounts c{name == "LRC-diff"};
@@ -819,7 +819,7 @@ TEST(LrcPiggyback, GcDiscardsSkippedPagesAndAMissFetchesThemWhole)
         // Rounds 1-4: B and C.
         EXPECT_EQ(c.piggybacked(r.perNode[0]), 8u);
         EXPECT_EQ(r.perNode[0].piggybacksSkipped, 0u);
-        EXPECT_EQ(r.total.piggybackWrongSkips, 1u);
+        EXPECT_EQ(r.total.piggybackWrongSkips, 0u);
         // A in 8 rounds, B and C in rounds 1-4, and two intervals of A
         // in each validation. A diff reply ships the older entry of a
         // rewritten page as a bare header. The whole copies are no
@@ -878,7 +878,7 @@ TEST(LrcDiscard, ADiscardedPageReadsTheKeepersCopy)
     // drops its notices again at barrier 7. Its one miss installs node
     // 1's copy, which covers every notice, so no diff or timestamp
     // request follows. Validating A took one fetch per GC round.
-    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+    for (const std::string name : {"LRC-diff", "LRC-time", "LRC-ci"}) {
         SCOPED_TRACE(name);
         const RiderCounts c{name == "LRC-diff"};
         Cluster cluster(discardConfig(name, 2, 3));
@@ -924,7 +924,7 @@ TEST(LrcDiscard, KeeperCopyPlusALaterDiffOfAnotherWriter)
     const auto half_value = [](int writer, int round) {
         return [=](int i) { return riderValue(round, writer, i); };
     };
-    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+    for (const std::string name : {"LRC-diff", "LRC-time", "LRC-ci"}) {
         SCOPED_TRACE(name);
         const RiderCounts c{name == "LRC-diff"};
         Cluster cluster(discardConfig(name, 3, 2));
@@ -1030,7 +1030,7 @@ TEST(LrcDiscard, AWrittenPageIsNeverDiscarded)
     // request) though it never reads it, and discards B. Node 0
     // discards both, with node 2 as A's keeper: its copy must hold
     // node 1's word, or node 0 would read a stale one.
-    for (const std::string name : {"LRC-diff", "LRC-time"}) {
+    for (const std::string name : {"LRC-diff", "LRC-time", "LRC-ci"}) {
         SCOPED_TRACE(name);
         const RiderCounts c{name == "LRC-diff"};
         Cluster cluster(discardConfig(name, 3, 4));
@@ -1060,6 +1060,166 @@ TEST(LrcDiscard, AWrittenPageIsNeverDiscarded)
         EXPECT_EQ(r.perNode[0].wholePageFetches, 1u);
         EXPECT_EQ(r.perNode[0].accessMisses, 1u);
     }
+}
+
+/** Words [first, first + n) of page A, each holding its riderValue of
+ *  @p round. */
+struct WordRange
+{
+    int first;
+    int n;
+    int round;
+};
+
+/** How many of page A's words differ from round 1's rewrite of the
+ *  whole page with the ranges of @p later written over it. */
+int
+wrongWordsOfA(SharedArray<int> &a, std::initializer_list<WordRange> later)
+{
+    return wrongWords(a, 0, kRiderPageInts, [&](int i) {
+        int round = 1;
+        for (const WordRange &w : later) {
+            if (i >= w.first && i < w.first + w.n)
+                round = w.round;
+        }
+        return riderValue(round, kPageA, i);
+    });
+}
+
+void
+storeRange(SharedArray<int> &a, const WordRange &w)
+{
+    storeWords(a, static_cast<std::size_t>(w.first), w.n, [&](int i) {
+        return riderValue(w.round, kPageA, w.first + i);
+    });
+}
+
+TEST(LrcDiscard, AMissAsksTheWriterBehindAWholeCopy)
+{
+    // Node 1 (W) rewrites page A in round 1, and node 0 (R) writes a
+    // word of page B so that GC runs at barrier 2 (2 records). R reads
+    // A in round 2 and keeps it; node 2 (I) discards A with keeper W.
+    // W rewrites A's first quarter in round 3. In round 4 I writes the
+    // last quarter: its fault installs W's copy, so I's store lacks
+    // W's round-3 diff. In round 5 R misses on A with notices from W
+    // and I. I's record knows W's round 3, but I wrote a whole copy,
+    // so its record dominates nothing and R asks both. Asked alone, I
+    // could not send W's words.
+    constexpr WordRange kWQ1{0, kRiderPageInts / 4, 3};
+    constexpr WordRange kIQ4{3 * kRiderPageInts / 4, kRiderPageInts / 4, 4};
+    ClusterConfig cc = discardConfig("LRC-diff", 3, 2);
+    Cluster cluster(cc);
+    RunResult r = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 2 * kRiderPageInts);
+        const int self = rt.self();
+        rt.barrier(0);
+        if (self == 1)
+            storeRange(a, {0, kRiderPageInts, 1});
+        if (self == 0)
+            a.set(kRiderPageInts, 1);
+        rt.barrier(1);
+        if (self == 0) {
+            EXPECT_EQ(wrongWordsOfA(a, {}), 0);
+        }
+        rt.barrier(2);
+        if (self == 1)
+            storeRange(a, kWQ1);
+        rt.barrier(3);
+        if (self == 2)
+            storeRange(a, kIQ4);
+        rt.barrier(4);
+        if (self == 0) {
+            EXPECT_EQ(wrongWordsOfA(a, {kWQ1, kIQ4}), 0);
+        }
+    });
+    EXPECT_EQ(r.perNode[0].gcRounds, 1u);
+    EXPECT_EQ(r.perNode[0].gcPagesDiscarded, 0u);
+    EXPECT_EQ(r.perNode[2].gcPagesDiscarded, 2u);
+    EXPECT_EQ(r.perNode[2].wholePageFetches, 1u);
+    EXPECT_EQ(r.perNode[0].accessMisses, 2u);
+    // One request in round 2, and one to each writer in round 5.
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 3u);
+}
+
+TEST(LrcDiscard, AWholeCopyShipsNoEntryFromBelowIt)
+{
+    // Barriers 1 and 2 as above, without B: GC at 1 record discards A
+    // at node 2 (I). Round 3 is ordered by host-atomic phases. Node 1
+    // (W) rewrites A's first quarter and closes that interval with an
+    // acquire. I installs W's copy, which holds it, though I's vector
+    // does not, writes A's last quarter, and grants lock 2 to node 0
+    // (R), which so learns I's interval alone. W writes A's second
+    // quarter and grants lock 1 to I, whose miss stores that diff. R's
+    // miss now asks I about W from below I's copy: I must not send W's
+    // second-quarter diff, or R would take W's interval as applied
+    // without its first quarter. After the barrier R asks W for both.
+    constexpr WordRange kWQ1{0, kRiderPageInts / 4, 3};
+    constexpr WordRange kWQ2{kRiderPageInts / 4, kRiderPageInts / 4, 5};
+    constexpr WordRange kIQ4{3 * kRiderPageInts / 4, kRiderPageInts / 4, 4};
+    // Lock l is managed by node l % 3, which holds it first.
+    constexpr LockId kToI = 1, kToR = 2, kCloseW = 3;
+    ClusterConfig cc = discardConfig("LRC-diff", 3, 1);
+    cc.transport = "ring"; // host-atomic phases below
+    Cluster cluster(cc);
+    std::atomic<int> phase{0};
+    const auto await = [&phase](int p) {
+        while (phase.load() < p)
+            std::this_thread::yield();
+    };
+    RunResult r = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, kRiderPageInts);
+        const int self = rt.self();
+        rt.barrier(0);
+        if (self == 1)
+            storeRange(a, {0, kRiderPageInts, 1});
+        rt.barrier(1);
+        if (self == 0) {
+            EXPECT_EQ(wrongWordsOfA(a, {}), 0);
+        }
+        rt.barrier(2);
+        if (self == 1) {
+            storeRange(a, kWQ1);
+            rt.acquire(kCloseW);
+            rt.release(kCloseW);
+            phase.store(1);
+            await(3);
+            rt.acquire(kToI);
+            storeRange(a, kWQ2);
+            rt.release(kToI);
+            phase.store(4);
+        } else if (self == 2) {
+            await(1);
+            rt.acquire(kToR);
+            storeRange(a, kIQ4);
+            rt.release(kToR);
+            phase.store(2);
+            await(4);
+            rt.acquire(kToI);
+            EXPECT_EQ(a.get(kWQ2.first),
+                      riderValue(kWQ2.round, kPageA, kWQ2.first));
+            rt.release(kToI);
+            phase.store(5);
+        } else {
+            await(2);
+            rt.acquire(kToR);
+            rt.release(kToR);
+            phase.store(3);
+            await(5);
+            EXPECT_EQ(a.get(kIQ4.first),
+                      riderValue(kIQ4.round, kPageA, kIQ4.first));
+        }
+        rt.barrier(3);
+        if (self == 0) {
+            EXPECT_EQ(wrongWordsOfA(a, {kWQ1, kWQ2, kIQ4}), 0);
+        }
+    });
+    EXPECT_EQ(r.perNode[0].gcRounds, 1u);
+    EXPECT_EQ(r.perNode[2].gcPagesDiscarded, 1u);
+    EXPECT_EQ(r.perNode[2].wholePageFetches, 1u);
+    EXPECT_EQ(r.perNode[0].diffRequestsSent, 3u);
+    // I's quarter, once.
+    EXPECT_EQ(r.perNode[2].diffBytesSent,
+              Diff::kHeaderBytes + Diff::kRunHeaderBytes + 4 * kIQ4.n);
 }
 
 TEST(LrcDiscard, HomeBasedGcFetchesNothing)
