@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "driver/experiment.hh"
@@ -45,12 +46,11 @@ benchCluster()
     // seed behavior for old-vs-new comparisons in the table drivers).
     if (const char *v = std::getenv("DSM_BATCH_DIFF"))
         cc.batchDiffFetch = std::atoi(v) != 0;
-    if (const char *v = std::getenv("DSM_GC"))
-        cc.gcAtBarriers = std::atoi(v) != 0;
+    // DSM_GC=0: the threshold's maximum, which runs no GC round.
+    if (const char *v = std::getenv("DSM_GC"); v && std::atoi(v) == 0)
+        cc.gcIntervalThreshold = std::numeric_limits<int>::max();
     if (const char *v = std::getenv("DSM_POOL"))
         cc.pooledBuffers = std::atoi(v) != 0;
-    if (const char *v = std::getenv("DSM_NOTICE"))
-        cc.piggybackWriteNotices = std::atoi(v) != 0;
     // DSM_SIMD=0 is read by the scan-kernel dispatch itself
     // (mem/wide_scan.cc): it pins the wide fallback process-wide.
     // Home-based LRC (LRC-diff only; timestamping stays homeless).

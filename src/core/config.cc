@@ -168,10 +168,11 @@ const Knob kKnobs[] = {
      "cross-page piggybacking on homeless misses"},
     {"pooled_buffers", &C::pooledBuffers, nullptr, {}, 0, 1,
      "recycle wire and twin buffers"},
-    {"piggyback_write_notices", &C::piggybackWriteNotices, nullptr, {}, 0,
-     1, "write notices on fetch replies"},
-    {"gc_at_barriers", &C::gcAtBarriers, nullptr, {}, 0, 1,
-     "barrier-time interval and diff GC"},
+    {"piggyback_write_notices", &C::piggybackWriteNotices, nullptr, {}, 1,
+     1, "write notices always ride on LRC fetch replies"},
+    {"gc_at_barriers", &C::gcAtBarriers, nullptr, {}, 1, 1,
+     "barrier GC is always on (gc_interval_threshold at its maximum "
+     "runs none)"},
     {"gc_interval_threshold", &C::gcIntervalThreshold, nullptr, {}, 0,
      kIntMax, "interval records that trigger barrier GC"},
     {"adaptive_gc_threshold", &C::adaptiveGcThreshold, nullptr, {}, 0, 0,

@@ -134,29 +134,24 @@ struct ClusterConfig
      */
     bool pooledBuffers = true;
 
-    /**
-     * Piggyback write notices (interval records) on LRC fetch replies
-     * (diff, timestamp and home-page), TreadMarks-style: a requester
-     * advertises its interval-log coverage and the responder appends
-     * the records it lacks, so the data a miss brings back cannot be
-     * followed by an immediate re-invalidation of the same page for
-     * an interval the reply already contained. For the timestamping
-     * implementations this also lifts the requester-vector cap on
-     * transmitted runs (the piggybacked records supply the ordering
-     * knowledge the cap protected). Counted by noticesPiggybacked /
-     * reinvalidationsAvoided.
-     */
+    /** Retired: only true is accepted. Write notices always ride on
+     *  LRC fetch replies (DESIGN.md §10). */
     bool piggybackWriteNotices = true;
+
+    /** Retired: only true is accepted. Barrier GC runs whenever the
+     *  threshold below is reached. */
+    bool gcAtBarriers = true;
 
     /**
      * Garbage-collect interval records and stored diffs at barriers
-     * once the interval log holds at least gcIntervalThreshold
-     * records: every node validates its invalid pages before arriving,
-     * the manager computes the minimum arrival vector, and departures
-     * instruct all nodes to discard records/diffs below it. Keeps
-     * long-running LRC executions' memory bounded (TreadMarks-style).
+     * once the interval log holds at least this many records within
+     * the node's vector: every node validates the invalid pages it
+     * keeps before arriving, the manager computes the minimum arrival
+     * vector, and departures instruct all nodes to discard
+     * records/diffs below it. Keeps long-running LRC executions'
+     * memory bounded (TreadMarks-style). The row's maximum,
+     * std::numeric_limits<int>::max(), runs no GC round.
      */
-    bool gcAtBarriers = true;
     std::uint32_t gcIntervalThreshold = 256;
 
     /** Retired arena-pressure GC trigger: only false and 2048 are

@@ -459,15 +459,10 @@ LrcRuntime::invalidateFor(const IntervalRec &rec, bool fresh)
         PageMeta &m = meta(p);
         if (m.copyVt[rec.proc] >= rec.idx) {
             // First delivery of a notice whose data an earlier fetch
-            // reply already piggybacked: the seed protocol would have
-            // invalidated and refetched the page here. Counted only
-            // while the feature is on so the DSM_NOTICE=0 ablation
-            // reads a true zero baseline (diff replies ship eager
-            // data either way; the counter measures the feature).
-            if (fresh && cluster->piggybackWriteNotices &&
-                pages.access(p) != PageAccess::None) {
+            // reply already brought: without that reply the page would
+            // be invalidated and refetched here.
+            if (fresh && pages.access(p) != PageAccess::None)
                 stats().reinvalidationsAvoided++;
-            }
             continue;
         }
         const auto notice = std::make_pair(rec.proc, rec.idx);
@@ -503,10 +498,6 @@ void
 LrcRuntime::encodePiggybackedRecords(WireWriter &w,
                                      const VectorTime &req_log)
 {
-    if (!cluster->piggybackWriteNotices) {
-        w.putU32(0);
-        return;
-    }
     // Everything the requester's log lacks, dense per processor (so
     // the requester's IntervalLog::add sees no gaps). The GC floor
     // cannot exceed the requester's coverage: pruning waits for a
@@ -561,7 +552,8 @@ LrcRuntime::ingestPiggybackedRecords(std::vector<IntervalRec> &recs)
         const IntervalRec &stored = ilog.add(std::move(rec), &was_new);
         // No notices are added here: piggybacked records carry
         // ordering knowledge early, while invalidation stays as lazy
-        // as the seed protocol.
+        // as in the paper's LRC, where notices arrive only with lock
+        // grants and barrier departures.
         if (was_new)
             fresh.push_back(&stored);
     }
@@ -910,8 +902,6 @@ LrcRuntime::preBarrier()
     // them would make the trigger depend on arrival order. Vectors
     // converge at barriers, so all nodes cross the threshold within
     // one barrier of each other and the handshake completes.
-    if (!cluster->gcAtBarriers)
-        return;
     std::vector<PageId> kept;
     {
         std::lock_guard<std::mutex> g(nl->core);
@@ -1238,17 +1228,28 @@ LrcRuntime::BatchPageReq::askedOf(NodeId q) const
     return v;
 }
 
+std::vector<std::byte>
+LrcRuntime::encodeBatchRequest(NodeId q, const VectorTime &log_cov,
+                               const std::vector<BatchPageReq> &reqs)
+{
+    WireWriter w;
+    log_cov.encode(w);
+    w.putU32(static_cast<std::uint32_t>(reqs.size()));
+    for (const BatchPageReq &pr : reqs) {
+        w.putU32(pr.page);
+        pr.askedOf(q).encode(w);
+    }
+    return w.take();
+}
+
 void
 LrcRuntime::snapshotBatchTargets(PageId page, bool miss,
                                  std::vector<NodeId> &responders,
                                  std::vector<BatchPageReq> &reqs,
-                                 VectorTime &log_cov,
-                                 VectorTime *global_vt)
+                                 VectorTime &log_cov)
 {
     std::lock_guard<std::mutex> g(nl->core);
     log_cov = logCoverage();
-    if (global_vt)
-        *global_vt = vt;
     // Diff mode routes by the interval records' vectors (DESIGN.md
     // §10), but only at T == 1: on SMP nodes a record can know an
     // interval its writer's copy lacks, so every pending writer is
@@ -1261,9 +1262,8 @@ LrcRuntime::snapshotBatchTargets(PageId page, bool miss,
         ig.lock();
     PendingWriters pw;
     const auto add_req = [&](PageId p, const PageMeta &pm) {
-        BatchPageReq pr{p, pm.copyVt};
+        BatchPageReq pr{p, pm.copyVt, pm.copyVt};
         if (diffs) {
-            pr.need = pm.copyVt;
             for (std::uint64_t ws = pw.pending; ws != 0; ws &= ws - 1) {
                 const NodeId w = std::countr_zero(ws);
                 pr.need[w] = pw.top[w];
@@ -1320,15 +1320,9 @@ LrcRuntime::fetchDiffs(PageId page, bool miss)
     std::vector<FetchedDiff> fetched;
     std::vector<IntervalRec> precs;
     for (NodeId q : responders) {
-        WireWriter w;
-        log_cov.encode(w);
-        w.putU32(static_cast<std::uint32_t>(reqs.size()));
-        for (const BatchPageReq &pr : reqs) {
-            w.putU32(pr.page);
-            pr.askedOf(q).encode(w);
-        }
         stats().diffRequestsSent++;
-        Message reply = ep->call(q, MsgType::DiffBatchRequest, w.take());
+        Message reply = ep->call(q, MsgType::DiffBatchRequest,
+                                 encodeBatchRequest(q, log_cov, reqs));
         WireReader r(reply.payload);
         const std::uint32_t npages = r.getU32();
         for (std::uint32_t i = 0; i < npages; ++i) {
@@ -1644,23 +1638,14 @@ LrcRuntime::fetchTimestamps(PageId page, bool miss)
     std::vector<NodeId> responders;
     std::vector<BatchPageReq> reqs;
     VectorTime log_cov;
-    VectorTime global_vt;
-    snapshotBatchTargets(page, miss, responders, reqs, log_cov,
-                         &global_vt);
+    snapshotBatchTargets(page, miss, responders, reqs, log_cov);
 
     std::map<PageId, std::vector<TsReplySet>> replies;
     std::vector<IntervalRec> precs;
     for (NodeId q : responders) {
-        WireWriter w;
-        global_vt.encode(w);
-        log_cov.encode(w);
-        w.putU32(static_cast<std::uint32_t>(reqs.size()));
-        for (const BatchPageReq &pr : reqs) {
-            w.putU32(pr.page);
-            pr.copyVt.encode(w);
-        }
         stats().tsRequestsSent++;
-        Message msg = ep->call(q, MsgType::PageTsBatchRequest, w.take());
+        Message msg = ep->call(q, MsgType::PageTsBatchRequest,
+                               encodeBatchRequest(q, log_cov, reqs));
         WireReader r(msg.payload);
         const std::uint32_t npages = r.getU32();
         for (std::uint32_t i = 0; i < npages; ++i) {
@@ -1687,9 +1672,8 @@ LrcRuntime::fetchTimestamps(PageId page, bool miss)
 
     std::lock_guard<std::mutex> g(nl->core);
     // Records first: the happens-before checks in applyTsReplies need
-    // them to order stamps beyond our own vector (the cap those
-    // records replace). Avoided re-invalidations are counted after the
-    // copies are current.
+    // them to order stamps beyond our own vector. Avoided
+    // re-invalidations are counted after the copies are current.
     auto fresh_recs = ingestPiggybackedRecords(precs);
     for (const BatchPageReq &pr : reqs) {
         const std::vector<TsReplySet> &got = replies[pr.page];
@@ -1901,22 +1885,11 @@ LrcRuntime::handleDiffBatchRequest(Message &msg)
 
 void
 LrcRuntime::encodeTsNewerThan(WireWriter &w, PageId page,
-                              const VectorTime &req_vt,
-                              const VectorTime &req_global)
+                              const VectorTime &req_vt)
 {
-    // Without write-notice piggybacking, the requester's copy can
-    // reflect, at most, intervals within its own vector: cap the
-    // advertised knowledge (and the transmitted runs, below)
-    // accordingly. With piggybacking the reply carries the interval
-    // records alongside the stamps, so the cap — and the
-    // re-invalidation the capped-out stamps cause later — disappears.
-    const bool piggy = cluster->piggybackWriteNotices;
-    VectorTime page_vt = meta(page).copyVt;
-    if (!piggy) {
-        for (int p = 0; p < numProcs; ++p)
-            page_vt[p] = std::min(page_vt[p], req_global[p]);
-    }
-    page_vt.encode(w);
+    // Stamps beyond the requester's vector travel too: the reply
+    // carries the records that order them.
+    meta(page).copyVt.encode(w);
 
     const BlockTimestamps &ts = tsOf(page);
     // The responder must scan the page's timestamps on every request —
@@ -1924,12 +1897,9 @@ LrcRuntime::encodeTsNewerThan(WireWriter &w, PageId page,
     clock().add(costModel().perWordScanNs * ts.numBlocks());
     stats().tsWordsScanned += ts.numBlocks();
 
-    // Send blocks newer than the requester's page copy; capped at the
-    // requester's global vector when the ordering knowledge (interval
-    // records) cannot travel with the reply.
+    // Send blocks newer than the requester's page copy.
     auto runs = ts.collect([&](std::uint64_t t) {
-        return t != 0 && tsInterval(t) > req_vt[tsProc(t)] &&
-               (piggy || tsInterval(t) <= req_global[tsProc(t)]);
+        return t != 0 && tsInterval(t) > req_vt[tsProc(t)];
     });
     std::lock_guard<std::mutex> sg(nl->shardFor(page));
     const std::byte *base = arena->at(arena->pageBase(page));
@@ -1950,7 +1920,6 @@ void
 LrcRuntime::handlePageTsBatchRequest(Message &msg)
 {
     WireReader r(msg.payload);
-    VectorTime req_global = VectorTime::decode(r);
     VectorTime req_log = VectorTime::decode(r);
     const std::uint32_t npages = r.getU32();
 
@@ -1961,7 +1930,7 @@ LrcRuntime::handlePageTsBatchRequest(Message &msg)
         const PageId page = r.getU32();
         VectorTime req_vt = VectorTime::decode(r);
         w.putU32(page);
-        encodeTsNewerThan(w, page, req_vt, req_global);
+        encodeTsNewerThan(w, page, req_vt);
     }
     encodePiggybackedRecords(w, req_log);
     ep->reply(msg.src, MsgType::PageTsBatchReply, w.take(),

@@ -196,32 +196,34 @@ class LrcRuntime : public Runtime
     {
         PageId page;
         VectorTime copyVt;
-        /** Diff mode: copyVt joined with the page's pending notices. */
+        /** copyVt, joined in diff mode with the page's pending
+         *  notices. */
         VectorTime need{};
         /** Diff mode: (pending writer, owner) for each pending writer.
          *  The owner is the responder that ships the writer's diffs:
          *  the writer itself when undominated, else its server. */
         std::vector<std::pair<NodeId, NodeId>> owners{};
 
-        /** Diff mode: the page vector asked of responder @p q: copyVt
-         *  for the writers q owns, need for every other writer. So q
-         *  sends what it alone owes plus what the requester has not
-         *  heard of, never a needed diff another responder ships. */
+        /** The page vector asked of responder @p q: copyVt for the
+         *  writers q owns, need for every other writer. So in diff
+         *  mode q sends what it alone owes plus what the requester has
+         *  not heard of, never a needed diff another responder ships. */
         VectorTime askedOf(NodeId q) const;
     };
 
     // --- Write-notice piggybacking on fetch replies (TreadMarks).
-    // Requests advertise the requester's interval-log coverage;
-    // responders append the records the requester lacks. Piggybacked
-    // records add no notices (laziness is preserved): they only carry
-    // ordering knowledge early, so a later regular delivery of the
-    // notice finds the page's copy already covering it.
+    // Every fetch request advertises the requester's interval-log
+    // coverage, and every reply appends the records the requester
+    // lacks. Piggybacked records add no notices (laziness is
+    // preserved): they only carry ordering knowledge early, so a later
+    // regular delivery of the notice finds the page's copy already
+    // covering it.
 
     /** My interval-log coverage (lastIdxOf per proc). Mutex held. */
     VectorTime logCoverage() const;
 
     /** Responder half: append count-prefixed records beyond
-     *  @p req_log (empty when the feature is off). Mutex held. */
+     *  @p req_log. Mutex held. */
     void encodePiggybackedRecords(WireWriter &w,
                                   const VectorTime &req_log);
 
@@ -386,11 +388,9 @@ class LrcRuntime : public Runtime
                               const VectorTime &req_vt);
 
     /** Encode the timestamp runs of @p page newer than the requester's
-     *  page copy @p req_vt, capped at its global vector @p req_global
-     *  (the page vector prefix plus counted runs). */
+     *  page copy @p req_vt (the page vector prefix plus counted runs). */
     void encodeTsNewerThan(WireWriter &w, PageId page,
-                           const VectorTime &req_vt,
-                           const VectorTime &req_global);
+                           const VectorTime &req_vt);
 
     bool usesTwinning() const
     {
@@ -423,17 +423,22 @@ class LrcRuntime : public Runtime
      * rider bound stays out, unless @p page itself is over its bound:
      * then the skip was wrong, the page's bound doubles and every
      * candidate rides. The miss then zeroes @p page's riderBytes.
-     * Also snapshots the interval-log coverage into @p log_cov and,
-     * when non-null, the global vector into @p global_vt, all under
-     * one acquisition of the node mutex; the snapshot stays valid
-     * across the blocking fetch calls because only the app thread adds
-     * or clears notices.
+     * Also snapshots the interval-log coverage into @p log_cov, all
+     * under one acquisition of the node mutex; the snapshot stays
+     * valid across the blocking fetch calls because only the app
+     * thread adds or clears notices.
      */
     void snapshotBatchTargets(PageId page, bool miss,
                               std::vector<NodeId> &responders,
                               std::vector<BatchPageReq> &reqs,
-                              VectorTime &log_cov,
-                              VectorTime *global_vt = nullptr);
+                              VectorTime &log_cov);
+
+    /** The batched request to responder @p q (DiffBatchRequest and
+     *  PageTsBatchRequest alike): @p log_cov, then each page of
+     *  @p reqs with the vector asked of q. */
+    static std::vector<std::byte>
+    encodeBatchRequest(NodeId q, const VectorTime &log_cov,
+                       const std::vector<BatchPageReq> &reqs);
 
     /** One responder's timestamp runs for one page. */
     struct TsReplySet

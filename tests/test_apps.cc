@@ -1,23 +1,21 @@
 /**
  * @file
  * Integration tests: every application of the paper, under every
- * runtime configuration, must reproduce the sequential reference
- * (bit-exactly for the integer applications, within tight tolerances
- * for the floating-point ones).
+ * runtime configuration and under home-based LRC-diff, must reproduce
+ * the sequential reference (bit-exactly for the integer applications,
+ * within tight tolerances for the floating-point ones).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cctype>
 
 #include "driver/experiment.hh"
 
 namespace dsm {
 namespace {
 
-/** Shared cluster base; the DSM_HOME=1 CI leg runs the entire sweep
- *  in home-based LRC mode (effective for LRC-diff, a no-op for the
- *  other configurations). */
+/** Shared cluster base. */
 ClusterConfig
 baseConfig()
 {
@@ -25,9 +23,19 @@ baseConfig()
     base.nprocs = 4;
     base.arenaBytes = 8u << 20;
     base.pageSize = 1024;
-    if (const char *v = std::getenv("DSM_HOME"))
-        base.homeBasedLrc = std::atoi(v) != 0;
     return base;
+}
+
+/** Run @p app under @p config, a runtime configuration name or
+ *  "LRC-home": LRC-diff with home-based LRC. */
+ExperimentResult
+runApp(const std::string &app, const std::string &config,
+       const AppParams &params, ClusterConfig base)
+{
+    base.homeBasedLrc = config == "LRC-home";
+    return runExperiment(
+        app, RuntimeConfig::parse(base.homeBasedLrc ? "LRC-diff" : config),
+        params, base, /*require_valid=*/false);
 }
 
 class AppConfigTest : public ::testing::TestWithParam<
@@ -40,9 +48,7 @@ TEST_P(AppConfigTest, MatchesSequential)
     AppParams params = AppParams::testScale();
     ClusterConfig base = baseConfig();
 
-    ExperimentResult r = runExperiment(
-        app, RuntimeConfig::parse(config_name), params, base,
-        /*require_valid=*/false);
+    ExperimentResult r = runApp(app, config_name, params, base);
     EXPECT_TRUE(r.verdict.ok) << r.verdict.detail;
     EXPECT_GT(r.run.execTimeNs, 0u);
     EXPECT_GT(r.seq.workUnits, 0u);
@@ -54,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "IS", "3D-FFT"),
                        ::testing::Values("EC-ci", "EC-time", "EC-diff",
                                          "LRC-ci", "LRC-time",
-                                         "LRC-diff")),
+                                         "LRC-diff", "LRC-home")),
     [](const auto &info) {
         std::string name = std::get<0>(info.param) + "_" +
                            std::get<1>(info.param);
@@ -71,10 +77,8 @@ TEST(WaterRestructured, MatchesSequential)
     AppParams params = AppParams::testScale();
     params.waterRestructured = true;
     ClusterConfig base = baseConfig();
-    for (const char *config : {"EC-time", "LRC-diff"}) {
-        ExperimentResult r =
-            runExperiment("Water", RuntimeConfig::parse(config), params,
-                          base, false);
+    for (const char *config : {"EC-time", "LRC-diff", "LRC-home"}) {
+        ExperimentResult r = runApp("Water", config, params, base);
         EXPECT_TRUE(r.verdict.ok) << config << ": " << r.verdict.detail;
     }
 }
@@ -89,9 +93,8 @@ TEST_P(NprocsTest, SorAcrossClusterSizes)
     ClusterConfig base = baseConfig();
     base.nprocs = GetParam();
     base.arenaBytes = 4u << 20;
-    for (const char *config : {"EC-diff", "LRC-diff"}) {
-        ExperimentResult r = runExperiment(
-            "SOR", RuntimeConfig::parse(config), params, base, false);
+    for (const char *config : {"EC-diff", "LRC-diff", "LRC-home"}) {
+        ExperimentResult r = runApp("SOR", config, params, base);
         EXPECT_TRUE(r.verdict.ok)
             << config << " np=" << GetParam() << ": "
             << r.verdict.detail;

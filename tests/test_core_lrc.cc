@@ -310,11 +310,9 @@ TEST(LrcRuntimeMisc, StatsReflectMechanisms)
  *      readable with no second miss.
  */
 RunResult
-runNoticeChoreography(const std::string &config, bool piggyback,
-                      std::uint64_t *a_misses)
+runNoticeChoreography(const std::string &config, std::uint64_t *a_misses)
 {
     ClusterConfig cc = lrcConfig(config, 4);
-    cc.piggybackWriteNotices = piggyback;
     // The choreography below sequences nodes through captured host
     // atomics and reports misses through a captured pointer — both
     // require one address space, so this test stays on the in-process
@@ -380,7 +378,7 @@ runNoticeChoreography(const std::string &config, bool piggyback,
 TEST(LrcNoticePiggyback, DiffReplyOutrunsNotice)
 {
     std::uint64_t a_misses = 0;
-    RunResult r = runNoticeChoreography("LRC-diff", true, &a_misses);
+    RunResult r = runNoticeChoreography("LRC-diff", &a_misses);
     // The diff reply carried (C,1)'s data and record: the later
     // notice found the copy current and the page valid.
     EXPECT_EQ(a_misses, 1u);
@@ -390,21 +388,15 @@ TEST(LrcNoticePiggyback, DiffReplyOutrunsNotice)
 
 TEST(LrcNoticePiggyback, TimestampCapLiftedVsSeed)
 {
-    // LRC-time is where the seed protocol genuinely re-invalidates:
-    // without piggybacked records the responder must cap transmitted
-    // stamps at the requester's vector, so the (C,1) words are held
-    // back and the later notice forces a second miss on the same page.
-    std::uint64_t misses_on = 0;
-    std::uint64_t misses_off = 0;
-    RunResult on = runNoticeChoreography("LRC-time", true, &misses_on);
-    RunResult off =
-        runNoticeChoreography("LRC-time", false, &misses_off);
-    EXPECT_EQ(misses_on, 1u);
-    EXPECT_EQ(misses_off, 2u);
-    EXPECT_GE(on.perNode[0].reinvalidationsAvoided, 1u);
-    EXPECT_EQ(off.perNode[0].reinvalidationsAvoided, 0u);
-    EXPECT_GT(off.perNode[0].pagesInvalidated,
-              on.perNode[0].pagesInvalidated);
+    // LRC-time is where notices that travel only with grants would
+    // re-invalidate: without the piggybacked records a responder would
+    // have to hold back the (C,1) stamps, beyond the requester's
+    // vector, and the later notice would force a second miss on the
+    // same page. The reply carries them with their record instead.
+    std::uint64_t a_misses = 0;
+    RunResult r = runNoticeChoreography("LRC-time", &a_misses);
+    EXPECT_EQ(a_misses, 1u);
+    EXPECT_GE(r.perNode[0].reinvalidationsAvoided, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -644,7 +636,6 @@ TEST(LrcBarrierDepart, RecordsStayWithinTheDepartureVector)
 {
     constexpr int kNodes = 3;
     ClusterConfig cc = lrcConfig("LRC-diff", kNodes);
-    cc.gcAtBarriers = false;
     DepartureGate net(kNodes, cc.cost);
     std::vector<std::unique_ptr<GateNode>> nodes;
     for (int i = 0; i < kNodes; ++i)

@@ -114,6 +114,22 @@ TEST(Config, RetiredHomeClassifierKnobsAreRejected)
                  "switch threshold is fixed");
 }
 
+/** Write notices always ride on LRC fetch replies, and barrier GC is
+ *  always on (the threshold's maximum runs none): both switches
+ *  accept only true. */
+TEST(Config, RetiredLrcSwitchesAreRejected)
+{
+    ClusterConfig notices;
+    notices.nprocs = 2;
+    notices.piggybackWriteNotices = false;
+    EXPECT_DEATH({ Cluster cluster(notices); },
+                 "notices always ride on LRC fetch replies");
+    ClusterConfig gc;
+    gc.nprocs = 2;
+    gc.gcAtBarriers = false;
+    EXPECT_DEATH({ Cluster cluster(gc); }, "barrier GC is always on");
+}
+
 // ---------------------------------------------------------------------
 // The knob table (core/config.cc): ClusterConfig::resolved().
 

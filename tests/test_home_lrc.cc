@@ -115,8 +115,7 @@ TEST(HomeLrc, OneRoundTripPerColdMiss)
 {
     constexpr int kEpochs = 40;
     ClusterConfig cc = homeConfig(2, 0); // migration off
-    cc.gcAtBarriers = false; // keep proactive GC fetches out of the count
-    cc.transport = "ring";   // white-box lrcOf() inspection below
+    cc.transport = "ring"; // white-box lrcOf() inspection below
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {
         // One page (256 ints x 4 bytes = 1024 = page 0, homed at 0).

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <thread>
 
 #include "core/cluster.hh"
@@ -98,7 +99,6 @@ totalStoredDiffs(Cluster &cluster)
 TEST(LrcGc, IntervalAndDiffLogsStayBoundedAcrossEpochs)
 {
     ClusterConfig cc = gcConfig("LRC-diff", 2);
-    cc.gcAtBarriers = true;
     cc.gcIntervalThreshold = 16;
     cc.transport = "ring"; // white-box log inspection below
     Cluster cluster(cc);
@@ -121,7 +121,8 @@ TEST(LrcGc, IntervalAndDiffLogsStayBoundedAcrossEpochs)
 TEST(LrcGc, AblationLogsGrowWithoutGc)
 {
     ClusterConfig cc = gcConfig("LRC-diff", 2);
-    cc.gcAtBarriers = false;
+    // The row's maximum: no log reaches it, so no GC round runs.
+    cc.gcIntervalThreshold = std::numeric_limits<int>::max();
     cc.transport = "ring"; // white-box log inspection below
     Cluster cluster(cc);
     RunResult result = cluster.run(epochWorkload);
@@ -135,7 +136,6 @@ TEST(LrcGc, AblationLogsGrowWithoutGc)
 TEST(LrcGc, TimestampingRecordsArePrunedToo)
 {
     ClusterConfig cc = gcConfig("LRC-time", 2);
-    cc.gcAtBarriers = true;
     cc.gcIntervalThreshold = 16;
     cc.transport = "ring"; // white-box log inspection below
     Cluster cluster(cc);
@@ -150,7 +150,6 @@ TEST(LrcGc, TimestampingRecordsArePrunedToo)
 TEST(LrcGc, SingleNodePrunesItsOwnLog)
 {
     ClusterConfig cc = gcConfig("LRC-diff", 1);
-    cc.gcAtBarriers = true;
     cc.gcIntervalThreshold = 8;
     cc.transport = "ring"; // white-box log inspection below
     Cluster cluster(cc);
@@ -486,7 +485,6 @@ TEST(LrcTrim, ReplyShipsEachWordOnce)
     constexpr int kA = 1;
     constexpr int kB = 5;
     ClusterConfig cc = gcConfig("LRC-diff", 2);
-    cc.gcAtBarriers = false; // no validation round ships these diffs
     Cluster cluster(cc);
     RunResult r = cluster.run([](Runtime &rt) {
         auto a = SharedArray<int>::alloc(rt, 64);
@@ -528,7 +526,6 @@ TEST(LrcTrim, ServerReshipsTrimmedDiffsExactly)
     // reads a word another node writes in it.
     constexpr int kA = 1, kB = 5, kC = 9, kD = 13, kE = 17;
     ClusterConfig cc = gcConfig("LRC-diff", 4);
-    cc.gcAtBarriers = false;
     Cluster cluster(cc);
     RunResult r = cluster.run([](Runtime &rt) {
         auto a = SharedArray<int>::alloc(rt, 64);
@@ -623,10 +620,11 @@ struct RiderScript
     /** The round in which node 0 writes C's first word after reading
      *  A (0: never); node 1 reads it back before the next rewrite. */
     int writeC = 0;
-    /** Barrier GC threshold in interval records (0: GC off). Node 0
-     *  then reads nothing in the rounds the threshold divides and in
-     *  the rounds before them, and reads all three pages after the
-     *  last barrier. */
+    /** Barrier GC threshold in interval records (0: the default,
+     *  which no script reaches). With a threshold, node 0 reads
+     *  nothing in the rounds the threshold divides and in the rounds
+     *  before them, and reads all three pages after the last
+     *  barrier. */
     int gcThreshold = 0;
 };
 
@@ -641,7 +639,6 @@ runRiders(const std::string &config, const RiderScript &script)
 {
     ClusterConfig cc = gcConfig(config, 2);
     cc.pageSize = 4096;
-    cc.gcAtBarriers = script.gcThreshold > 0;
     if (script.gcThreshold > 0)
         cc.gcIntervalThreshold =
             static_cast<std::uint32_t>(script.gcThreshold);
@@ -865,7 +862,6 @@ discardConfig(const std::string &name, int nprocs, int gc_threshold)
 {
     ClusterConfig cc = gcConfig(name, nprocs);
     cc.pageSize = 4096;
-    cc.gcAtBarriers = true;
     cc.gcIntervalThreshold = static_cast<std::uint32_t>(gc_threshold);
     return cc;
 }

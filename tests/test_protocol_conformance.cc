@@ -36,10 +36,6 @@ struct ProtocolLeg
     const char *label;
     const char *config;
     bool home;
-    /** Piggyback write notices on fetch replies (default-on fast
-     *  path); the *_nonotice legs prove the seed protocol and the
-     *  piggybacked one produce bit-identical final state. */
-    bool piggyback;
     /** Sharing-policy legs: bounded-fairness lock hand-off bound
      *  (0 = unbounded), migrate-to-last-writer home policy, and the
      *  deferred-merged flush transport. Each must leave the final
@@ -66,57 +62,47 @@ struct ProtocolLeg
 };
 
 const ProtocolLeg kLegs[] = {
-    {"EC", "EC-diff", false, true},
-    {"LRC", "LRC-diff", false, true},
-    {"LRC_nonotice", "LRC-diff", false, false},
-    {"LRC_time", "LRC-time", false, true},
-    {"LRC_time_nonotice", "LRC-time", false, false},
-    {"LRC_home", "LRC-diff", true, true},
-    {"LRC_home_nonotice", "LRC-diff", true, false},
+    {"EC", "EC-diff", false},
+    {"LRC", "LRC-diff", false},
+    {"LRC_time", "LRC-time", false},
+    {"LRC_home", "LRC-diff", true},
     // Sharing-policy legs (PR 5): each policy on its own, then all
     // three at once, against the same policy-off reference state.
-    {"EC_fair", "EC-diff", false, true, 4},
-    {"LRC_fair", "LRC-diff", false, true, 4},
-    {"LRC_home_lastwriter", "LRC-diff", true, true, 0, true},
-    {"LRC_home_defer", "LRC-diff", true, true, 0, false, true},
-    {"LRC_home_allpolicies", "LRC-diff", true, true, 4, true, true},
+    {"EC_fair", "EC-diff", false, 4},
+    {"LRC_fair", "LRC-diff", false, 4},
+    {"LRC_home_lastwriter", "LRC-diff", true, 0, true},
+    {"LRC_home_defer", "LRC-diff", true, 0, false, true},
+    {"LRC_home_allpolicies", "LRC-diff", true, 4, true, true},
     // Latency-path legs (PR 9). Blocking dequeue and adaptive
     // fairness default off, so each gets a forced-on leg; the reply
     // bypass is always on, so every leg covers it.
-    {"EC_blockingdeq", "EC-diff", false, true, 0, false, false, 1},
-    {"LRC_home_blockingdeq", "LRC-diff", true, true, 0, false, false, 1},
-    {"EC_fair_adaptive", "EC-diff", false, true, 4, false, false, -1,
-     true},
-    {"LRC_home_latency_all", "LRC-diff", true, true, 4, true, true, 1,
-     true},
+    {"EC_blockingdeq", "EC-diff", false, 0, false, false, 1},
+    {"LRC_home_blockingdeq", "LRC-diff", true, 0, false, false, 1},
+    {"EC_fair_adaptive", "EC-diff", false, 4, false, false, -1, true},
+    {"LRC_home_latency_all", "LRC-diff", true, 4, true, true, 1, true},
     // The batched miss protocol without cross-page piggybacking, once
     // per collection method.
     {.label = "LRC_nobatch",
      .config = "LRC-diff",
      .home = false,
-     .piggyback = true,
      .batch = false},
     {.label = "LRC_time_nobatch",
      .config = "LRC-time",
      .home = false,
-     .piggyback = true,
      .batch = false},
     // Barrier GC mid-kernel, once per homeless collection method and
     // once home-based.
     {.label = "LRC_gc",
      .config = "LRC-diff",
      .home = false,
-     .piggyback = true,
      .gcThreshold = 4},
     {.label = "LRC_time_gc",
      .config = "LRC-time",
      .home = false,
-     .piggyback = true,
      .gcThreshold = 4},
     {.label = "LRC_home_gc",
      .config = "LRC-diff",
      .home = true,
-     .piggyback = true,
      .gcThreshold = 4},
 };
 
@@ -139,7 +125,6 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     cc.pageSize = 1024;
     cc.runtime = RuntimeConfig::parse(leg.config);
     cc.homeBasedLrc = leg.home;
-    cc.piggybackWriteNotices = leg.piggyback;
     // A low threshold makes homes migrate *during* the kernels, so
     // conformance also covers the migration machinery.
     cc.homeMigrateThreshold = 4;
