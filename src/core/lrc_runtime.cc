@@ -2166,13 +2166,14 @@ LrcRuntime::flushPendingHomeFlushes()
         homeCv.notify_all();
 }
 
-bool
+LrcRuntime::MigrateCause
 LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
-                             std::uint64_t vt_sum, const Diff &diff,
-                             bool *via_last_writer)
+                             std::uint64_t vt_sum, const Diff &diff)
 {
     PageHomeTable::HomeState &hs = homes.state(
         page, static_cast<std::uint32_t>(arena->pageSize() / 4));
+    // Before the apply, which makes appliedVt nonzero.
+    const bool first_writer = homes.firstRemoteWriter(hs, page, proc);
     std::uint64_t words;
     {
         std::lock_guard<std::mutex> sg(nl->shardFor(page));
@@ -2207,17 +2208,17 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
                                   : PageAccess::Read);
     }
     const bool dominant = homes.countAccess(hs, proc);
-    if (!follow_writer && !dominant)
-        return false;
+    if (!first_writer && !follow_writer && !dominant)
+        return MigrateCause::None;
     if (!homes.migrationAllowed(page)) {
         // Adaptive fallback: the page has spent its ping-pong budget
         // and stays pinned at this home.
         stats().homeMigrationsSuppressed++;
-        return false;
+        return MigrateCause::None;
     }
-    if (via_last_writer)
-        *via_last_writer = follow_writer;
-    return true;
+    return first_writer    ? MigrateCause::FirstWriter
+           : follow_writer ? MigrateCause::LastWriter
+                           : MigrateCause::Accesses;
 }
 
 void
@@ -2243,11 +2244,10 @@ LrcRuntime::drainParkedFlushes()
                 ++it;
                 continue;
             }
-            bool via_lw = false;
-            if (applyFlushAtHome(it->page, it->proc, it->idx, it->vtSum,
-                                 it->diff, &via_lw)) {
-                migrate.push_back({it->page, it->proc, via_lw});
-            }
+            const MigrateCause cause = applyFlushAtHome(
+                it->page, it->proc, it->idx, it->vtSum, it->diff);
+            if (cause != MigrateCause::None)
+                migrate.push_back({it->page, it->proc, cause});
             it = parkedFlushes.erase(it);
             progress = true;
         }
@@ -2269,8 +2269,10 @@ LrcRuntime::runMigrations(const std::vector<MigrateReq> &migrate)
         // so the counters see exactly the migrations performed.
         if (!homes.isHome(req.page))
             continue;
-        if (req.viaLastWriter)
+        if (req.cause == MigrateCause::LastWriter)
             stats().lastWriterMigrations++;
+        else if (req.cause == MigrateCause::FirstWriter)
+            stats().firstWriterMigrations++;
         migrateHome(out, req.page, req.dst);
         moved = true;
     }
@@ -2331,9 +2333,10 @@ LrcRuntime::handleHomeDiffFlush(Message &msg)
                 {proc, idx, prev_idx, vt_sum, page, std::move(d)});
             continue;
         }
-        bool via_lw = false;
-        if (applyFlushAtHome(page, proc, idx, vt_sum, d, &via_lw))
-            migrate.push_back({page, proc, via_lw});
+        const MigrateCause cause =
+            applyFlushAtHome(page, proc, idx, vt_sum, d);
+        if (cause != MigrateCause::None)
+            migrate.push_back({page, proc, cause});
     }
     drainParkedFlushes();
     serveParkedPageRequests();
@@ -2376,7 +2379,7 @@ LrcRuntime::handleHomePageRequest(Message &msg)
             {origin, msg.replyToken, page, need, req_log});
     }
     if (migrate)
-        runMigrations({{page, origin, false}});
+        runMigrations({{page, origin, MigrateCause::Accesses}});
 }
 
 void

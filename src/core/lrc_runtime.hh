@@ -339,40 +339,52 @@ class LrcRuntime : public Runtime
                          std::uint32_t idx, std::uint32_t prev_idx,
                          std::uint64_t vt_sum, const Diff &diff);
 
+    /** Why a home migrates. The last-writer and first-writer causes
+     *  have their own NodeStats counters, taken only where the
+     *  migration actually runs (a merged flush can fire a policy for
+     *  several intervals of one page but migrate once). */
+    enum class MigrateCause : std::uint8_t
+    {
+        None,
+        /** One node's access count crossed the threshold. */
+        Accesses,
+        /** The migrate-to-last-writer classifier
+         *  (lastWriterMigrations). */
+        LastWriter,
+        /** The page's first remote writer
+         *  (PageHomeTable::firstRemoteWriter; firstWriterMigrations). */
+        FirstWriter,
+    };
+
     /**
      * Apply one flushed diff in place at the home (the caller has
      * checked the writer chain: the writer's previous flush for this
-     * page is already applied). Returns true when a migration policy
-     * (dominant access counts, or the last-writer classifier) says
-     * the home should migrate to @p proc; @p via_last_writer, when
-     * non-null, reports whether the last-writer policy was the
-     * trigger (counted as lastWriterMigrations only where the
-     * migration actually runs — a merged flush can fire the policy
-     * for several intervals of one page but migrate once). Mutex
-     * held.
+     * page is already applied). Returns the cause when a migration
+     * policy says the home should migrate to @p proc (the first-writer
+     * rule, the last-writer classifier, or dominant access counts, in
+     * that order of precedence), else MigrateCause::None. Mutex held.
      */
-    bool applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
-                          std::uint64_t vt_sum, const Diff &diff,
-                          bool *via_last_writer = nullptr);
+    MigrateCause applyFlushAtHome(PageId page, NodeId proc,
+                                  std::uint32_t idx, std::uint64_t vt_sum,
+                                  const Diff &diff);
 
     /** Apply every parked flush whose predecessor has arrived, forward
      *  those whose page migrated away, and run any migrations they
      *  trigger. Mutex held. */
     void drainParkedFlushes();
 
-    /** A migration a flush apply asked for, with its policy trigger
-     *  (for the lastWriterMigrations counter). */
+    /** A migration a flush apply or a page request asked for. */
     struct MigrateReq
     {
         PageId page;
         NodeId dst;
-        bool viaLastWriter;
+        MigrateCause cause;
     };
 
     /** Perform the collected migrations that still find us the home,
-     *  counting last-writer-triggered ones: one HomeMigrate per peer
-     *  carries the whole batch, sent before any parked request or
-     *  flush of a moved page is forwarded. Mutex held. */
+     *  counting each by its cause: one HomeMigrate per peer carries
+     *  the whole batch, sent before any parked request or flush of a
+     *  moved page is forwarded. Mutex held. */
     void runMigrations(const std::vector<MigrateReq> &migrate);
 
     /** Hand @p page's home role to @p new_home, appending its entry

@@ -9,11 +9,15 @@
  *
  * Two pieces live here:
  *  - PageHomeTable: each node's view of the page -> home mapping
- *    (static round-robin plus migration overrides) and, for pages
- *    homed locally, the home-side state: the applied interval vector,
- *    the per-word ordering sums that make out-of-order flush arrival
- *    safe, and the per-node access counters that drive the
- *    migrate-on-threshold policy.
+ *    (round-robin until a page migrates, then the migration
+ *    overrides) and, for pages homed locally, the home-side state:
+ *    the applied interval vector, the per-word ordering sums that make
+ *    out-of-order flush arrival safe, and the per-node access
+ *    counters. Three rules move a home: a page's first remote
+ *    writer takes it from its round-robin home, one node's dominant
+ *    access count pulls it over (both off at migration threshold 0),
+ *    and the last-writer policy, behind its own switch, follows a
+ *    migratory writer chain.
  *  - Guarded diff application: flushes from causally ordered intervals
  *    can arrive at the home in either order (the releaser does not
  *    wait for flush acks), so each diffed word carries its interval's
@@ -74,7 +78,9 @@ class PageHomeTable
           pingPongLimit(ping_pong_limit)
     {}
 
-    /** Current home of @p page: round-robin unless migrated. */
+    /** Current home of @p page: round-robin (page % nprocs) until
+     *  it first migrates, which with migration on is usually at its
+     *  first remote writer's first flush (firstRemoteWriter). */
     NodeId
     homeOf(PageId page) const
     {
@@ -189,6 +195,25 @@ class PageHomeTable
             return false;
         const std::uint32_t count = ++hs.accessCounts[node];
         return migrateThreshold > 0 && count >= migrateThreshold;
+    }
+
+    /**
+     * First-writer homing: true when @p writer's flush reaches @p page
+     * at its round-robin home (migration epoch 0) before any write was
+     * applied there (appliedVt still zero; the home's own interval
+     * closes count as writes), so the home should move to the writer.
+     * Test it before applying the flush. A page's first writer is
+     * often its main writer (each SOR node's band), and then every
+     * later interval it closes stamps the page in place instead of
+     * flushing it. Never fires for the home's own writes or at threshold
+     * 0; callers must additionally honor migrationAllowed().
+     */
+    bool
+    firstRemoteWriter(const HomeState &hs, PageId page,
+                      NodeId writer) const
+    {
+        return migrateThreshold > 0 && writer != self_ &&
+               epochOf(page) == 0 && hs.appliedVt.sum() == 0;
     }
 
     /**

@@ -61,6 +61,7 @@ forEachField(Stats &s, Fn fn)
     fn("pageFetchRoundTrips", s.pageFetchRoundTrips);
     fn("homeMigrations", s.homeMigrations);
     fn("lastWriterMigrations", s.lastWriterMigrations);
+    fn("firstWriterMigrations", s.firstWriterMigrations);
     fn("homeMigrationsSuppressed", s.homeMigrationsSuppressed);
     fn("homeFlushesDeferred", s.homeFlushesDeferred);
     fn("gcRounds", s.gcRounds);

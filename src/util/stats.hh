@@ -137,6 +137,9 @@ struct NodeStats
     /** Migrations triggered by the migrate-to-last-writer policy
      *  (subset of homeMigrations). */
     std::uint64_t lastWriterMigrations = 0;
+    /** Migrations of a page from its round-robin home to its first
+     *  remote writer (subset of homeMigrations). */
+    std::uint64_t firstWriterMigrations = 0;
     /** Migrations a policy wanted but the ping-pong cap suppressed
      *  (the page stays pinned at its current home). */
     std::uint64_t homeMigrationsSuppressed = 0;

@@ -5,6 +5,9 @@
  *    fetch full copies), across dozens of epochs;
  *  - an access miss on a remotely homed page costs exactly one
  *    request/reply round trip, counter-asserted;
+ *  - a page's first remote writer takes its home at its first close,
+ *    and only then: not after the home wrote it, not for readers,
+ *    not with migration off;
  *  - a deliberately skewed access pattern migrates the home past the
  *    threshold and stays correct before, during and after the move;
  *  - the pages one dispatch migrates reach each peer as a single
@@ -147,9 +150,105 @@ TEST(HomeLrc, OneRoundTripPerColdMiss)
         << "home mode must never run the homeless diff protocol";
 }
 
+/** First-writer homing: node 1 writes page 0 (homed at node 0) in
+ *  each of 8 epochs and node 2 reads it after each one. Node 1's first
+ *  flush is the first write to reach the page, so node 0 hands node 1
+ *  the home while applying it, and node 1 stamps its later intervals
+ *  in place: one flush in all. Page 3, which node 0 writes first and
+ *  node 2 after it, keeps home 0, and so does page 6, which nodes 1
+ *  and 2 only read. At threshold 0 nothing moves and node 1 flushes at
+ *  every close. */
+TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
+{
+    constexpr int kEpochs = 8;
+    constexpr int kNodes = 3;
+    constexpr int kInts = 256; // one 1024-byte page
+    // Round-robin homes put pages 0, 3 and 6 at node 0.
+    constexpr int kWritten = 0;
+    constexpr int kHomeWrote = 3;
+    constexpr int kRead = 6;
+    RunResult result;
+    auto run = [&](std::uint32_t threshold) {
+        ClusterConfig cc = homeConfig(kNodes, threshold);
+        // No other policy may move a home or merge a flush.
+        cc.homeMigrateLastWriter = 0;
+        cc.homePingPongLimit = 0;
+        cc.homeFlushDefer = 0;
+        cc.transport = "ring"; // white-box lrcOf() inspection below
+        auto cluster = std::make_unique<Cluster>(cc);
+        result = cluster->run([&](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, kInts * (kRead + 1), 4,
+                                             "first");
+            const auto at = [&](int page, int i) { return page * kInts + i; };
+            const int self = rt.self();
+            rt.barrier(0);
+            for (int e = 0; e < kEpochs; ++e) {
+                if (self == 1) {
+                    for (int i = 0; i < kInts; ++i)
+                        a.set(at(kWritten, i), e * 1000 + i);
+                }
+                if (self == (e == 0 ? 0 : 2)) {
+                    for (int i = 0; i < kInts; ++i)
+                        a.set(at(kHomeWrote, i), e * 1000 + 500 + i);
+                }
+                rt.barrier(1 + 2 * e);
+                // EXPECT, not ASSERT: a worker that left early would
+                // hang its peers at the next barrier.
+                for (int i = 0; i < kInts; i += 15) {
+                    if (self == 2) {
+                        EXPECT_EQ(a.get(at(kWritten, i)), e * 1000 + i)
+                            << "epoch " << e << " index " << i;
+                    }
+                    if (self == 1) {
+                        EXPECT_EQ(a.get(at(kHomeWrote, i)),
+                                  e * 1000 + 500 + i)
+                            << "epoch " << e << " index " << i;
+                    }
+                    if (self != 0)
+                        EXPECT_EQ(a.get(at(kRead, i)), 0);
+                }
+                rt.barrier(2 + 2 * e);
+            }
+        });
+        return cluster;
+    };
+
+    {
+        auto cluster = run(64);
+        EXPECT_EQ(result.total.firstWriterMigrations, 1u);
+        EXPECT_EQ(result.perNode[0].firstWriterMigrations, 1u)
+            << "node 0, the round-robin home, hands the page over";
+        EXPECT_EQ(result.total.homeMigrations, 1u);
+        EXPECT_EQ(result.perNode[1].homeFlushesSent, 1u)
+            << "node 1 flushes only its first close";
+        for (int n = 0; n < kNodes; ++n) {
+            EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kWritten), 1)
+                << "node " << n;
+            EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kHomeWrote), 0)
+                << "node " << n;
+            EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kRead), 0)
+                << "node " << n;
+        }
+    }
+    {
+        auto cluster = run(0);
+        EXPECT_EQ(result.total.firstWriterMigrations, 0u);
+        EXPECT_EQ(result.total.homeMigrations, 0u);
+        EXPECT_EQ(result.perNode[1].homeFlushesSent,
+                  static_cast<std::uint64_t>(kEpochs));
+        for (int n = 0; n < kNodes; ++n) {
+            for (int page : {kWritten, kHomeWrote, kRead}) {
+                EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(page), 0)
+                    << "node " << n << ", page " << page;
+            }
+        }
+    }
+}
+
 /** Skewed access: node 1 writes and node 2 reads a page homed at node
- *  0. Past the threshold the home migrates off node 0, and the data
- *  stays correct through and after the move. */
+ *  0. Node 0 writes the page first, so the first-writer rule leaves it
+ *  alone. Past the threshold the home migrates off node 0, and the
+ *  data stays correct through and after the move. */
 TEST(HomeLrc, MigratesUnderSkewedAccess)
 {
     constexpr int kEpochs = 16;
@@ -158,6 +257,8 @@ TEST(HomeLrc, MigratesUnderSkewedAccess)
     Cluster cluster(cc);
     RunResult result = cluster.run([&](Runtime &rt) {
         auto a = SharedArray<int>::alloc(rt, 256, 4, "skew");
+        if (rt.self() == 0)
+            a.set(0, -1);
         rt.barrier(0);
         for (int e = 0; e < kEpochs; ++e) {
             if (rt.self() == 1) {
@@ -173,6 +274,7 @@ TEST(HomeLrc, MigratesUnderSkewedAccess)
         }
     });
 
+    EXPECT_EQ(result.total.firstWriterMigrations, 0u);
     EXPECT_GE(result.total.homeMigrations, 1u)
         << "the skewed accessor should have pulled the home over";
     // All nodes agree on the final mapping, and it moved off node 0.
