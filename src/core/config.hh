@@ -174,8 +174,9 @@ struct ClusterConfig
      * Remote accesses (diff flushes + page fetches) by a single node
      * to a page homed elsewhere before the home migrates to that node.
      * Any value above 0 also moves a page from its round-robin home to
-     * its first remote writer (PageHomeTable::firstRemoteWriter). 0
-     * disables migration, that rule included.
+     * its only remote writer at the barrier that announces its writes
+     * (PageHomeTable::firstWriterTarget). 0 disables migration, that
+     * rule included.
      */
     std::uint32_t homeMigrateThreshold = 64;
 

@@ -809,6 +809,8 @@ LrcRuntime::applyDepart(BarrierId, WireReader &r)
     // records of other processors we already knew might still have
     // pending notices; invalidateFor is idempotent either way.
     vt.mergeMax(global);
+    if (homeMode() && cluster->homeMigrateThreshold > 0)
+        moveToFirstWriters(global);
 
     // The departure records above all carry idx > our arrival vector
     // >= gc_vt. A notice at or below gc_vt is left only on a page this
@@ -2172,8 +2174,6 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
 {
     PageHomeTable::HomeState &hs = homes.state(
         page, static_cast<std::uint32_t>(arena->pageSize() / 4));
-    // Before the apply, which makes appliedVt nonzero.
-    const bool first_writer = homes.firstRemoteWriter(hs, page, proc);
     std::uint64_t words;
     {
         std::lock_guard<std::mutex> sg(nl->shardFor(page));
@@ -2207,6 +2207,12 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
                                   ? PageAccess::ReadWrite
                                   : PageAccess::Read);
     }
+    // First-writer homing decides at the barrier that announces a
+    // write (applyDepart); a flush that arrives after that barrier
+    // decides here, once it is applied.
+    const bool first_writer =
+        idx <= departVt[proc] &&
+        firstWriterTarget(page, hs, departVt) == proc;
     const bool dominant = homes.countAccess(hs, proc);
     if (!first_writer && !follow_writer && !dominant)
         return MigrateCause::None;
@@ -2219,6 +2225,51 @@ LrcRuntime::applyFlushAtHome(PageId page, NodeId proc, std::uint32_t idx,
     return first_writer    ? MigrateCause::FirstWriter
            : follow_writer ? MigrateCause::LastWriter
                            : MigrateCause::Accesses;
+}
+
+NodeId
+LrcRuntime::firstWriterTarget(PageId page,
+                              const PageHomeTable::HomeState &hs,
+                              const VectorTime &announced)
+{
+    const NodeId to = homes.firstWriterTarget(hs, page, announced);
+    if (to < 0)
+        return -1;
+    // An announced write whose flush is still in flight decides when
+    // it is applied.
+    const PageMeta &m = meta(page);
+    const bool pending =
+        std::any_of(m.notices.begin(), m.notices.end(),
+                    [&](const std::pair<NodeId, std::uint32_t> &n) {
+                        return n.second <= announced[n.first];
+                    });
+    return pending ? -1 : to;
+}
+
+void
+LrcRuntime::moveToFirstWriters(const VectorTime &global)
+{
+    // Every page the intervals this barrier announces name; a page
+    // whose flush is still in flight decides when it is applied.
+    std::vector<PageId> named;
+    {
+        std::lock_guard<std::mutex> ig(nl->ilog);
+        for (const IntervalRec *rec : ilog.recordsAfter(departVt, &global))
+            named.insert(named.end(), rec->pages.begin(), rec->pages.end());
+    }
+    std::sort(named.begin(), named.end());
+    named.erase(std::unique(named.begin(), named.end()), named.end());
+    std::lock_guard<std::mutex> hg(nl->home);
+    std::vector<MigrateReq> migrate;
+    for (PageId p : named) {
+        PageHomeTable::HomeState *hs = homes.find(p);
+        if (!hs || !homes.isHome(p))
+            continue;
+        const NodeId to = firstWriterTarget(p, *hs, global);
+        if (to >= 0)
+            migrate.push_back({p, to, MigrateCause::FirstWriter});
+    }
+    runMigrations(migrate);
 }
 
 void

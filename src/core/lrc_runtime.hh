@@ -351,18 +351,33 @@ class LrcRuntime : public Runtime
         /** The migrate-to-last-writer classifier
          *  (lastWriterMigrations). */
         LastWriter,
-        /** The page's first remote writer
-         *  (PageHomeTable::firstRemoteWriter; firstWriterMigrations). */
+        /** The page's only remote writer, announced by a barrier
+         *  (PageHomeTable::firstWriterTarget; firstWriterMigrations). */
         FirstWriter,
     };
+
+    /** PageHomeTable::firstWriterTarget for a locally homed @p page,
+     *  or -1 while a write notice at or below @p announced still waits
+     *  for its flush. Mutex held. */
+    NodeId firstWriterTarget(PageId page,
+                             const PageHomeTable::HomeState &hs,
+                             const VectorTime &announced);
+
+    /** First-writer homing at a barrier departure: move each locally
+     *  homed page that the intervals up to @p global name to its
+     *  first writer, where firstWriterTarget already finds one (the
+     *  rest decide as their flushes are applied). Holds nl->core;
+     *  takes nl->ilog, then nl->home. */
+    void moveToFirstWriters(const VectorTime &global);
 
     /**
      * Apply one flushed diff in place at the home (the caller has
      * checked the writer chain: the writer's previous flush for this
      * page is already applied). Returns the cause when a migration
      * policy says the home should migrate to @p proc (the first-writer
-     * rule, the last-writer classifier, or dominant access counts, in
-     * that order of precedence), else MigrateCause::None. Mutex held.
+     * rule, for a flush that arrives after the barrier announcing it;
+     * the last-writer classifier; or dominant access counts, in that
+     * order of precedence), else MigrateCause::None. Mutex held.
      */
     MigrateCause applyFlushAtHome(PageId page, NodeId proc,
                                   std::uint32_t idx, std::uint64_t vt_sum,

@@ -13,11 +13,11 @@
  *    overrides) and, for pages homed locally, the home-side state:
  *    the applied interval vector, the per-word ordering sums that make
  *    out-of-order flush arrival safe, and the per-node access
- *    counters. Three rules move a home: a page's first remote
- *    writer takes it from its round-robin home, one node's dominant
- *    access count pulls it over (both off at migration threshold 0),
- *    and the last-writer policy, behind its own switch, follows a
- *    migratory writer chain.
+ *    counters. Three rules move a home: a page's only remote writer
+ *    takes it from its round-robin home at the barrier that announces
+ *    its writes, one node's dominant access count pulls it over (both
+ *    off at migration threshold 0), and the last-writer policy,
+ *    behind its own switch, follows a migratory writer chain.
  *  - Guarded diff application: flushes from causally ordered intervals
  *    can arrive at the home in either order (the releaser does not
  *    wait for flush acks), so each diffed word carries its interval's
@@ -79,8 +79,9 @@ class PageHomeTable
     {}
 
     /** Current home of @p page: round-robin (page % nprocs) until
-     *  it first migrates, which with migration on is usually at its
-     *  first remote writer's first flush (firstRemoteWriter). */
+     *  it first migrates, which with migration on is usually at the
+     *  first barrier after its only writer's first flush
+     *  (firstWriterTarget). */
     NodeId
     homeOf(PageId page) const
     {
@@ -198,22 +199,39 @@ class PageHomeTable
     }
 
     /**
-     * First-writer homing: true when @p writer's flush reaches @p page
-     * at its round-robin home (migration epoch 0) before any write was
-     * applied there (appliedVt still zero; the home's own interval
-     * closes count as writes), so the home should move to the writer.
-     * Test it before applying the flush. A page's first writer is
-     * often its main writer (each SOR node's band), and then every
-     * later interval it closes stamps the page in place instead of
-     * flushing it. Never fires for the home's own writes or at threshold
-     * 0; callers must additionally honor migrationAllowed().
+     * First-writer homing: the node a page still at its round-robin
+     * home (migration epoch 0) should move to, or -1. That is its only
+     * writer so far, when that writer is another node and a barrier
+     * the home departed has announced all its writes applied here (at
+     * or below @p announced). A page its home wrote, or that two nodes
+     * wrote, stays. The caller must also find no write notice at or
+     * below @p announced still waiting for its flush. Those inputs are
+     * what the barrier made every node agree on, so where a page goes
+     * does not depend on whether a flush or the home's own close came
+     * first. A page's first writer is often its main writer (each SOR
+     * node's band), and then every later interval it closes stamps the
+     * page in place instead of flushing it. Never fires at threshold
+     * 0, and only at epoch 0, which every ping-pong budget allows
+     * (migrationAllowed).
      */
-    bool
-    firstRemoteWriter(const HomeState &hs, PageId page,
-                      NodeId writer) const
+    NodeId
+    firstWriterTarget(const HomeState &hs, PageId page,
+                      const VectorTime &announced) const
     {
-        return migrateThreshold > 0 && writer != self_ &&
-               epochOf(page) == 0 && hs.appliedVt.sum() == 0;
+        if (migrateThreshold == 0 || epochOf(page) != 0 ||
+            hs.appliedVt[self_] != 0) {
+            return -1;
+        }
+        NodeId writer = -1;
+        for (NodeId q = 0; q < nprocs_; ++q) {
+            if (hs.appliedVt[q] == 0)
+                continue;
+            // A second writer, or a write no barrier announced yet.
+            if (writer >= 0 || hs.appliedVt[q] > announced[q])
+                return -1;
+            writer = q;
+        }
+        return writer;
     }
 
     /**

@@ -5,9 +5,10 @@
  *    fetch full copies), across dozens of epochs;
  *  - an access miss on a remotely homed page costs exactly one
  *    request/reply round trip, counter-asserted;
- *  - a page's first remote writer takes its home at its first close,
- *    and only then: not after the home wrote it, not for readers,
- *    not with migration off;
+ *  - a page's only remote writer takes its home at the first barrier
+ *    after its first close, and only then: not when the home wrote it
+ *    too, in whatever order the writes arrive, not when two nodes
+ *    wrote it, not for readers, not with migration off;
  *  - a deliberately skewed access pattern migrates the home past the
  *    threshold and stays correct before, during and after the move;
  *  - the pages one dispatch migrates reach each peer as a single
@@ -23,6 +24,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "core/cluster.hh"
 #include "core/shared_array.hh"
@@ -151,22 +155,28 @@ TEST(HomeLrc, OneRoundTripPerColdMiss)
 }
 
 /** First-writer homing: node 1 writes page 0 (homed at node 0) in
- *  each of 8 epochs and node 2 reads it after each one. Node 1's first
- *  flush is the first write to reach the page, so node 0 hands node 1
- *  the home while applying it, and node 1 stamps its later intervals
- *  in place: one flush in all. Page 3, which node 0 writes first and
- *  node 2 after it, keeps home 0, and so does page 6, which nodes 1
- *  and 2 only read. At threshold 0 nothing moves and node 1 flushes at
- *  every close. */
+ *  each of 8 epochs and node 2 reads it after each one. Node 1 is the
+ *  page's only writer, so node 0 hands it the home at the first
+ *  barrier, and node 1 stamps its later intervals in place: one flush
+ *  in all. Page 3, which node 0 writes first and node 2 after it,
+ *  keeps home 0, and so does page 6, which nodes 1 and 2 only read.
+ *  Page 9, which nodes 0 and 1 write in the first epoch, keeps home 0
+ *  although node 0 closes that interval only after node 1's flush has
+ *  had time to arrive; page 12, which nodes 1 and 2 write then, keeps
+ *  it too. At threshold 0 nothing moves and node 1 flushes at every
+ *  close. */
 TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
 {
     constexpr int kEpochs = 8;
     constexpr int kNodes = 3;
     constexpr int kInts = 256; // one 1024-byte page
-    // Round-robin homes put pages 0, 3 and 6 at node 0.
+    constexpr int kHalf = kInts / 2;
+    // Round-robin homes put pages 0, 3, 6, 9 and 12 at node 0.
     constexpr int kWritten = 0;
     constexpr int kHomeWrote = 3;
     constexpr int kRead = 6;
+    constexpr int kHomeAndOne = 9;
+    constexpr int kTwoWriters = 12;
     RunResult result;
     auto run = [&](std::uint32_t threshold) {
         ClusterConfig cc = homeConfig(kNodes, threshold);
@@ -177,8 +187,8 @@ TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
         cc.transport = "ring"; // white-box lrcOf() inspection below
         auto cluster = std::make_unique<Cluster>(cc);
         result = cluster->run([&](Runtime &rt) {
-            auto a = SharedArray<int>::alloc(rt, kInts * (kRead + 1), 4,
-                                             "first");
+            auto a = SharedArray<int>::alloc(
+                rt, kInts * (kTwoWriters + 1), 4, "first");
             const auto at = [&](int page, int i) { return page * kInts + i; };
             const int self = rt.self();
             rt.barrier(0);
@@ -191,6 +201,25 @@ TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
                     for (int i = 0; i < kInts; ++i)
                         a.set(at(kHomeWrote, i), e * 1000 + 500 + i);
                 }
+                // In the first epoch nodes 0 and 1 share page
+                // kHomeAndOne, nodes 1 and 2 page kTwoWriters: each
+                // writes its half.
+                if (e == 0 && self < 2) {
+                    for (int i = 0; i < kHalf; ++i)
+                        a.set(at(kHomeAndOne, self * kHalf + i),
+                              self * kHalf + i);
+                }
+                if (e == 0 && self > 0) {
+                    for (int i = 0; i < kHalf; ++i)
+                        a.set(at(kTwoWriters, (self - 1) * kHalf + i),
+                              (self - 1) * kHalf + i);
+                }
+                if (e == 0 && self == 0) {
+                    // Let node 1's first flush reach us before our
+                    // own close applies our half of kHomeAndOne.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                }
                 rt.barrier(1 + 2 * e);
                 // EXPECT, not ASSERT: a worker that left early would
                 // hang its peers at the next barrier.
@@ -198,14 +227,21 @@ TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
                     if (self == 2) {
                         EXPECT_EQ(a.get(at(kWritten, i)), e * 1000 + i)
                             << "epoch " << e << " index " << i;
+                        EXPECT_EQ(a.get(at(kHomeAndOne, i)), i)
+                            << "epoch " << e << " index " << i;
                     }
                     if (self == 1) {
                         EXPECT_EQ(a.get(at(kHomeWrote, i)),
                                   e * 1000 + 500 + i)
                             << "epoch " << e << " index " << i;
                     }
-                    if (self != 0)
+                    if (self == 0) {
+                        EXPECT_EQ(a.get(at(kTwoWriters, i)), i)
+                            << "epoch " << e << " index " << i;
+                    }
+                    if (self != 0) {
                         EXPECT_EQ(a.get(at(kRead, i)), 0);
+                    }
                 }
                 rt.barrier(2 + 2 * e);
             }
@@ -224,10 +260,10 @@ TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
         for (int n = 0; n < kNodes; ++n) {
             EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kWritten), 1)
                 << "node " << n;
-            EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kHomeWrote), 0)
-                << "node " << n;
-            EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(kRead), 0)
-                << "node " << n;
+            for (int page : {kHomeWrote, kRead, kHomeAndOne, kTwoWriters}) {
+                EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(page), 0)
+                    << "node " << n << ", page " << page;
+            }
         }
     }
     {
@@ -237,7 +273,8 @@ TEST(HomeLrc, FirstRemoteWriterTakesTheHome)
         EXPECT_EQ(result.perNode[1].homeFlushesSent,
                   static_cast<std::uint64_t>(kEpochs));
         for (int n = 0; n < kNodes; ++n) {
-            for (int page : {kWritten, kHomeWrote, kRead}) {
+            for (int page :
+                 {kWritten, kHomeWrote, kRead, kHomeAndOne, kTwoWriters}) {
                 EXPECT_EQ(lrcOf(*cluster, n).pageHomeOf(page), 0)
                     << "node " << n << ", page " << page;
             }
@@ -438,6 +475,53 @@ TEST(HomeLrc, LastWriterPolicyFollowsMigratoryWriter)
               result.total.lastWriterMigrations);
     // The final mapping is consistent everywhere.
     const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
+    for (int n = 1; n < 3; ++n)
+        EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
+}
+
+/** The same alternating writers with migration on (threshold 64):
+ *  node 1 writes the page alone in the first epoch, so first-writer
+ *  homing moves it from node 0 to node 1 at the first barrier. From
+ *  then on nodes 2 and 1 take turns, and the last-writer classifier
+ *  at the new home still sees the writer switch and follows it. */
+TEST(HomeLrc, LastWriterPolicyFollowsAfterAFirstWriterMove)
+{
+    constexpr int kEpochs = 12;
+    ClusterConfig cc = homeConfig(3, 64);
+    cc.homeMigrateLastWriter = 1;
+    cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
+    cc.homeFlushDefer = 0;
+    cc.transport = "ring"; // white-box lrcOf() inspection below
+    Cluster cluster(cc);
+    RunResult result = cluster.run([&](Runtime &rt) {
+        auto a = SharedArray<int>::alloc(rt, 256, 4, "mig");
+        rt.barrier(0);
+        for (int e = 0; e < kEpochs; ++e) {
+            const int writer = e == 0 ? 1 : 2 - (e + 1) % 2;
+            if (rt.self() == writer) {
+                for (int i = 0; i < 256; ++i)
+                    a.set(i, e * 1000 + i);
+            }
+            rt.barrier(1 + 2 * e);
+            if (rt.self() != writer) {
+                for (int i = 0; i < 256; i += 11)
+                    ASSERT_EQ(a.get(i), e * 1000 + i);
+            }
+            rt.barrier(2 + 2 * e);
+        }
+    });
+
+    EXPECT_EQ(result.total.firstWriterMigrations, 1u);
+    EXPECT_EQ(result.perNode[0].firstWriterMigrations, 1u)
+        << "node 0, the round-robin home, hands the page to node 1";
+    EXPECT_GE(result.total.lastWriterMigrations, 1u)
+        << "alternating writers must classify the page migratory";
+    EXPECT_EQ(result.total.homeMigrations,
+              result.total.firstWriterMigrations +
+                  result.total.lastWriterMigrations)
+        << "the access counter never reaches 64 here";
+    const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
+    EXPECT_NE(final_home, 0);
     for (int n = 1; n < 3; ++n)
         EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
 }

@@ -395,14 +395,6 @@ TEST(SmpNodes, T1ParityAgainstPreRefactorGolden)
     cc.homeMigrateLastWriter = 0;
     cc.homePingPongLimit = 0;
     cc.homeFlushDefer = 0;
-    // Home migration off too. At test scale all eight nodes write
-    // SOR's one grid page, so whether another node's flush reaches the
-    // page's home before the home's own first close is a host
-    // scheduling race, and the first-writer rule turns that race into
-    // a migration and one more home flush. At the default threshold
-    // no page migrated here before that rule, so this runs the
-    // protocol the golden was frozen at.
-    cc.homeMigrateThreshold = 0;
 
     for (const std::string &app : {std::string("SOR"),
                                    std::string("SOR+")}) {

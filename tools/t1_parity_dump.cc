@@ -33,13 +33,11 @@ main()
     cc.nprocs = 8;
     cc.arenaBytes = 16u << 20;
     cc.pageSize = 4096;
-    // The policy knobs tests/test_smp.cc pins, home migration
-    // included (see there).
+    // The policy knobs tests/test_smp.cc pins.
     cc.lockLocalHandoffBound = 0;
     cc.homeMigrateLastWriter = 0;
     cc.homePingPongLimit = 0;
     cc.homeFlushDefer = 0;
-    cc.homeMigrateThreshold = 0;
 
     for (const std::string &app : {std::string("SOR"), std::string("SOR+")}) {
         for (const RuntimeConfig &config : RuntimeConfig::all()) {
