@@ -440,90 +440,55 @@ TEST(HomeLrc, StaleBatchEntryIsSkippedWhole)
 // Sharing-policy layer.
 
 /** Alternating writers (the migratory pattern): nodes 1 and 2 take
- *  turns rewriting a page homed at node 0. The access-count policy is
- *  off; only the migrate-to-last-writer classifier can move the home,
- *  and it must, while the data stays correct through every move. */
+ *  turns rewriting a page homed at node 0, node 1 first. With the
+ *  access-count policy off only the migrate-to-last-writer classifier
+ *  can move the home, and it must, while the data stays correct
+ *  through every move. With migration on (threshold 64, which no node
+ *  reaches here) first-writer homing hands node 1 the page at the
+ *  first barrier, and the classifier at the new home still follows
+ *  the writers after that. */
 TEST(HomeLrc, LastWriterPolicyFollowsMigratoryWriter)
 {
     constexpr int kEpochs = 12;
-    ClusterConfig cc = homeConfig(3, 0); // access-count policy off
-    cc.homeMigrateLastWriter = 1;
-    cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
-    cc.transport = "ring";    // white-box lrcOf() inspection below
-    Cluster cluster(cc);
-    RunResult result = cluster.run([&](Runtime &rt) {
-        auto a = SharedArray<int>::alloc(rt, 256, 4, "mig");
-        rt.barrier(0);
-        for (int e = 0; e < kEpochs; ++e) {
-            const int writer = 1 + e % 2;
-            if (rt.self() == writer) {
-                for (int i = 0; i < 256; ++i)
-                    a.set(i, e * 1000 + i);
+    for (std::uint32_t threshold : {0u, 64u}) {
+        ClusterConfig cc = homeConfig(3, threshold);
+        cc.homeMigrateLastWriter = 1;
+        cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
+        cc.transport = "ring"; // white-box lrcOf() inspection below
+        Cluster cluster(cc);
+        RunResult result = cluster.run([&](Runtime &rt) {
+            auto a = SharedArray<int>::alloc(rt, 256, 4, "mig");
+            rt.barrier(0);
+            for (int e = 0; e < kEpochs; ++e) {
+                const int writer = 1 + e % 2;
+                if (rt.self() == writer) {
+                    for (int i = 0; i < 256; ++i)
+                        a.set(i, e * 1000 + i);
+                }
+                rt.barrier(1 + 2 * e);
+                if (rt.self() != writer) {
+                    for (int i = 0; i < 256; i += 11)
+                        ASSERT_EQ(a.get(i), e * 1000 + i);
+                }
+                rt.barrier(2 + 2 * e);
             }
-            rt.barrier(1 + 2 * e);
-            if (rt.self() != writer) {
-                for (int i = 0; i < 256; i += 11)
-                    ASSERT_EQ(a.get(i), e * 1000 + i);
-            }
-            rt.barrier(2 + 2 * e);
-        }
-    });
+        });
 
-    EXPECT_GE(result.total.lastWriterMigrations, 1u)
-        << "alternating writers must classify the page migratory";
-    EXPECT_GE(result.total.homeMigrations,
-              result.total.lastWriterMigrations);
-    // The final mapping is consistent everywhere.
-    const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
-    for (int n = 1; n < 3; ++n)
-        EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
-}
-
-/** The same alternating writers with migration on (threshold 64):
- *  node 1 writes the page alone in the first epoch, so first-writer
- *  homing moves it from node 0 to node 1 at the first barrier. From
- *  then on nodes 2 and 1 take turns, and the last-writer classifier
- *  at the new home still sees the writer switch and follows it. */
-TEST(HomeLrc, LastWriterPolicyFollowsAfterAFirstWriterMove)
-{
-    constexpr int kEpochs = 12;
-    ClusterConfig cc = homeConfig(3, 64);
-    cc.homeMigrateLastWriter = 1;
-    cc.homePingPongLimit = 0; // uncapped: pure follow-the-writer
-    cc.homeFlushDefer = 0;
-    cc.transport = "ring"; // white-box lrcOf() inspection below
-    Cluster cluster(cc);
-    RunResult result = cluster.run([&](Runtime &rt) {
-        auto a = SharedArray<int>::alloc(rt, 256, 4, "mig");
-        rt.barrier(0);
-        for (int e = 0; e < kEpochs; ++e) {
-            const int writer = e == 0 ? 1 : 2 - (e + 1) % 2;
-            if (rt.self() == writer) {
-                for (int i = 0; i < 256; ++i)
-                    a.set(i, e * 1000 + i);
-            }
-            rt.barrier(1 + 2 * e);
-            if (rt.self() != writer) {
-                for (int i = 0; i < 256; i += 11)
-                    ASSERT_EQ(a.get(i), e * 1000 + i);
-            }
-            rt.barrier(2 + 2 * e);
-        }
-    });
-
-    EXPECT_EQ(result.total.firstWriterMigrations, 1u);
-    EXPECT_EQ(result.perNode[0].firstWriterMigrations, 1u)
-        << "node 0, the round-robin home, hands the page to node 1";
-    EXPECT_GE(result.total.lastWriterMigrations, 1u)
-        << "alternating writers must classify the page migratory";
-    EXPECT_EQ(result.total.homeMigrations,
-              result.total.firstWriterMigrations +
-                  result.total.lastWriterMigrations)
-        << "the access counter never reaches 64 here";
-    const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
-    EXPECT_NE(final_home, 0);
-    for (int n = 1; n < 3; ++n)
-        EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
+        EXPECT_GE(result.total.lastWriterMigrations, 1u)
+            << "threshold " << threshold
+            << ": alternating writers must classify the page migratory";
+        EXPECT_EQ(result.total.firstWriterMigrations, threshold > 0 ? 1u : 0u)
+            << "threshold " << threshold;
+        EXPECT_EQ(result.total.homeMigrations,
+                  result.total.firstWriterMigrations +
+                      result.total.lastWriterMigrations)
+            << "threshold " << threshold
+            << ": no access count moves the page";
+        // The final mapping is consistent everywhere.
+        const NodeId final_home = lrcOf(cluster, 0).pageHomeOf(0);
+        for (int n = 1; n < 3; ++n)
+            EXPECT_EQ(lrcOf(cluster, n).pageHomeOf(0), final_home);
+    }
 }
 
 /** Same alternating pattern with a ping-pong budget of 2: the page

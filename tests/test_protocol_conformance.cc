@@ -166,11 +166,10 @@ runLeg(const ProtocolLeg &leg, const KernelCase &kc)
     // the stencil at 8 nodes the last-writer classifier itself fires;
     // access counts alone can account for the rest. At 4 nodes it
     // fires on most schedules but not all, with or without
-    // first-writer homing: at threshold 4 the access counter can move
+    // first-writer homing (at threshold 4 the access counter may move
     // a two-writer page before the classifier has seen three writer
-    // switches. HomeLrc.LastWriterPolicyFollowsAfterAFirstWriterMove
-    // pins the classifier beside first-writer homing on a fixed
-    // schedule.
+    // switches). HomeLrc.LastWriterPolicyFollowsMigratoryWriter pins
+    // the classifier beside first-writer homing on a fixed schedule.
     if (leg.lastWriter && std::strcmp(kc.name, "taskqueue") != 0) {
         EXPECT_GT(result.total.homeMigrations, 0u)
             << kc.name << " np=" << kc.nprocs << "x" << kc.threads
